@@ -11,7 +11,7 @@
 namespace perfbench {
 
 inline constexpr std::size_t kBlockSamples = 4096;
-inline constexpr double kAdcRateHz = 64.512e6;  ///< the paper's ADC rate
+inline constexpr double kAdcRateHz = 64.512e6;  ///< the feed's sample rate (the paper's ADC)
 inline constexpr int kFeedBits = 12;            ///< fits every backend's input
 /// Cyclic feed length: odd, so block boundaries fall at a new feed offset on
 /// every pass and no two blocks of a run carry the same samples.
@@ -24,8 +24,6 @@ struct SessionSpec {
 
 struct Workload {
   std::string name;
-  double pace_hz = 0.0;  ///< feed rate of the open loop; 0 = closed loop
-  std::size_t block_samples = kBlockSamples;  ///< feed samples per block
   std::uint64_t warmup_blocks = 0;
   core::DdcConfig config;  ///< the workload's reference rate plan
   std::vector<SessionSpec> sessions;

@@ -1,12 +1,13 @@
 #include "harness.hpp"
 
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <ctime>
 #include <stdexcept>
-#include <thread>
 
 #include "src/backends/builtin.hpp"
 #include "src/common/rng.hpp"
@@ -87,48 +88,30 @@ void Feed::fill(std::uint64_t first, std::span<std::int64_t> out) const {
   }
 }
 
-// -------------------------------------------------------------------- pacing
+// ---------------------------------------------------------------------- logs
 
-std::int64_t PaceSchedule::due_ns(std::uint64_t seq, std::int64_t call_ns) const {
-  if (!paced(seq)) return call_ns;
-  const double periods = static_cast<double>(seq - first_paced_seq + 1);
-  return anchor_ns + static_cast<std::int64_t>(std::llround(
-                         periods * static_cast<double>(block_samples) * 1e9 / rate_hz));
+std::FILE* open_memory_file(const char* name) {
+  const int fd = memfd_create(name, MFD_CLOEXEC);
+  std::FILE* file = fd >= 0 ? fdopen(fd, "w+b") : nullptr;
+  if (file == nullptr) {
+    if (fd >= 0) close(fd);
+    throw std::runtime_error(std::string("cannot open the in-memory log ") + name);
+  }
+  return file;
 }
 
-PacedSource::PacedSource(std::shared_ptr<const Feed> feed, double rate_hz,
-                         std::size_t block_samples, std::int64_t lead_ns,
-                         std::size_t capacity_blocks)
-    : feed_(std::move(feed)),
-      rate_hz_(rate_hz),
-      schedule_{0.0, block_samples, 0, 0},
-      lead_ns_(lead_ns),
-      capacity_(capacity_blocks),
-      // Default-initialised: pages are touched only as blocks are stamped.
-      call_(new std::int64_t[capacity_blocks]),
-      due_(new std::int64_t[capacity_blocks]),
-      ret_(new std::int64_t[capacity_blocks]) {}
+// -------------------------------------------------------------------- source
 
-std::size_t PacedSource::read(std::span<std::int64_t> out) {
+ReplaySource::ReplaySource(std::shared_ptr<const Feed> feed, std::uint64_t max_blocks)
+    : feed_(std::move(feed)), max_blocks_(max_blocks) {}
+
+std::size_t ReplaySource::read(std::span<std::int64_t> out) {
   const std::int64_t call = now_ns();
   const std::uint64_t seq = blocks_.load(std::memory_order_relaxed);
-  if (stop_.load(std::memory_order_acquire) || seq >= capacity_) return 0;
-  if (!pacing_ && rate_hz_ > 0.0 && pace_requested_.load(std::memory_order_acquire)) {
-    pacing_ = true;
-    schedule_.rate_hz = rate_hz_;
-    schedule_.first_paced_seq = seq;
-    schedule_.anchor_ns = call + lead_ns_;
-  }
-  const std::int64_t due = schedule_.due_ns(seq, call);
-  if (due - kSpinNs > call)
-    std::this_thread::sleep_until(
-        std::chrono::steady_clock::time_point(std::chrono::nanoseconds(due - kSpinNs)));
-  while (now_ns() < due) {
-  }
-  feed_->fill(seq * schedule_.block_samples, out);
-  call_[seq] = call;
-  due_[seq] = due;
-  ret_[seq] = now_ns();
+  if (stop_.load(std::memory_order_acquire) || seq >= max_blocks_) return 0;
+  feed_->fill(position_, out);
+  position_ += out.size();
+  log_.append(BlockStamp{call, now_ns()});
   blocks_.store(seq + 1, std::memory_order_release);
   return out.size();
 }
@@ -193,18 +176,29 @@ Cadence Cadence::of(const core::ChainPlan& plan) {
   return c;
 }
 
-void SessionCheck::on_chunk(const stream::StreamChunk& chunk) {
-  if (chunk.block_seq < entries_.size()) {
+ChunkRecord ChunkRecord::of(std::uint32_t session, const stream::StreamChunk& chunk) {
+  ChunkRecord r;
+  r.seq = chunk.block_seq;
+  r.digest = perfbench::digest(chunk.iq);
+  r.session = session;
+  r.outputs = static_cast<std::uint32_t>(chunk.iq.size());
+  r.gap = chunk.gap_before;
+  r.dropped = chunk.dropped_feed_samples > 0 || chunk.dropped_output_samples > 0;
+  return r;
+}
+
+void SessionCheck::on_chunk(const ChunkRecord& chunk) {
+  if (chunk.seq < entries_.size()) {
     ++misordered_;  // a duplicate, or an earlier block arriving late
     return;
   }
-  entries_.resize(chunk.block_seq);  // skipped blocks stay absent (= missing)
+  entries_.resize(chunk.seq);  // skipped blocks stay absent (= missing)
   Entry e;
   e.present = true;
-  e.digest = digest(chunk.iq);
-  e.outputs = static_cast<std::uint32_t>(chunk.iq.size());
-  e.gap = chunk.gap_before;
-  e.dropped = chunk.dropped_feed_samples > 0 || chunk.dropped_output_samples > 0;
+  e.digest = chunk.digest;
+  e.outputs = chunk.outputs;
+  e.gap = chunk.gap;
+  e.dropped = chunk.dropped;
   entries_.push_back(e);
 }
 

@@ -6,17 +6,22 @@
 // The library's own trace rings (TWIDDC_TRACE) stay off in every run.
 //
 // The pieces with arithmetic worth pinning -- the percentile rule, the
-// pacing schedule, the output checker and the decorator -- live here so the
-// self-tests in tests/harness_test.cpp can exercise them without a run.
+// source's stamps, the record log, the output checker and the decorator --
+// live here so the self-tests in tests/harness_test.cpp can exercise them
+// without a run.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/backend.hpp"
@@ -79,74 +84,79 @@ class Feed {
   std::vector<std::int64_t> samples_;
 };
 
-// -------------------------------------------------------------------- pacing
+// ---------------------------------------------------------------------- logs
 
-/// When each feed block is due.  Closed loop (rate_hz == 0) or before the
-/// first paced block (the warm-up): a block is due when the pump asks for it.  Open loop:
-/// block `first_paced_seq + k` is due when its last sample would have left
-/// an ADC running at rate_hz from `anchor_ns`, i.e. anchor + (k + 1) periods.
-struct PaceSchedule {
-  double rate_hz = 0.0;
-  std::size_t block_samples = 4096;
-  std::uint64_t first_paced_seq = 0;
-  std::int64_t anchor_ns = 0;
+/// Opens an anonymous in-memory file (memfd) for a RecordLog.
+std::FILE* open_memory_file(const char* name);
 
-  [[nodiscard]] bool paced(std::uint64_t seq) const {
-    return rate_hz > 0.0 && seq >= first_paced_seq;
-  }
-  [[nodiscard]] std::int64_t due_ns(std::uint64_t seq, std::int64_t call_ns) const;
-  /// How late the generator handed the block over: return - due, where the
-  /// due time of an unpaced block is the moment the pump asked for it.
-  [[nodiscard]] static std::int64_t lateness_ns(std::int64_t due_ns,
-                                                std::int64_t return_ns) {
-    return return_ns - due_ns;
-  }
-};
+/// An append-only log of fixed-size records kept in an anonymous in-memory
+/// file.  Its pages are never mapped into this process, so what the harness
+/// logs while the program serves stays out of the resident set reported as
+/// peak_rss_mb.  One writer at a time.
+template <typename T>
+class RecordLog {
+  static_assert(std::is_trivially_copyable_v<T>);
 
-/// The benchmark's stream::Source: replays the Feed block by block and
-/// stamps every block's call, due and return times (plain stores: the
-/// engine's rings order them before any chunk of that block reaches the
-/// client).  It runs unpaced until start_pacing(); the first block read
-/// after that anchors the schedule `lead_ns` ahead, so the warm-up backlog
-/// drains before the first paced block is due.
-class PacedSource final : public stream::Source {
  public:
-  /// `rate_hz` 0 never paces (a closed loop).
-  PacedSource(std::shared_ptr<const Feed> feed, double rate_hz, std::size_t block_samples,
-              std::int64_t lead_ns, std::size_t capacity_blocks);
+  explicit RecordLog(const char* name) : file_(open_memory_file(name)) {}
+  ~RecordLog() { std::fclose(file_); }
+  RecordLog(const RecordLog&) = delete;
+  RecordLog& operator=(const RecordLog&) = delete;
 
-  std::size_t read(std::span<std::int64_t> out) override;
+  void append(const T& record) { std::fwrite(&record, sizeof record, 1, file_); }
 
-  /// The pump sleeps until this long before a block is due and spins the
-  /// rest, so the hand-over does not wait for the wake-up of an idle vCPU.
-  static constexpr std::int64_t kSpinNs = 200'000;
-
-  /// Paces every block read from now on (open loops only).
-  void start_pacing() { pace_requested_.store(true, std::memory_order_release); }
-  /// Ends the feed: the next read() reports end of stream.
-  void stop() { stop_.store(true, std::memory_order_release); }
-
-  [[nodiscard]] std::int64_t call_ns(std::uint64_t seq) const { return call_[seq]; }
-  [[nodiscard]] std::int64_t due_ns(std::uint64_t seq) const { return due_[seq]; }
-  [[nodiscard]] std::int64_t return_ns(std::uint64_t seq) const { return ret_[seq]; }
-  /// Blocks handed out (valid after the engine stopped, or for seqs whose
-  /// chunks the client already holds).
-  [[nodiscard]] std::uint64_t blocks() const {
-    return blocks_.load(std::memory_order_acquire);
+  /// Every record appended so far, in order.  Call once the writer is done.
+  [[nodiscard]] std::vector<T> load() {
+    std::fflush(file_);
+    const long bytes = std::ftell(file_);
+    std::vector<T> records(static_cast<std::size_t>(bytes) / sizeof(T));
+    std::rewind(file_);
+    const std::size_t got = std::fread(records.data(), sizeof(T), records.size(), file_);
+    if (got != records.size() || std::ferror(file_) != 0)
+      throw std::runtime_error("record log: records were lost");
+    return records;
   }
 
  private:
+  std::FILE* file_;
+};
+
+// -------------------------------------------------------------------- source
+
+/// When the pump asked for a feed block and when the read returned.  Every
+/// workload is a closed loop: a block is due when the pump asks for it.
+struct BlockStamp {
+  std::int64_t call_ns = 0;
+  std::int64_t return_ns = 0;
+};
+
+/// The benchmark's stream::Source: replays the Feed block by block and logs
+/// every block's call and return times.  The feed ends after `max_blocks`
+/// blocks, or at the first read after stop().
+class ReplaySource final : public stream::Source {
+ public:
+  explicit ReplaySource(std::shared_ptr<const Feed> feed,
+                        std::uint64_t max_blocks = std::numeric_limits<std::uint64_t>::max());
+
+  std::size_t read(std::span<std::int64_t> out) override;
+
+  /// Ends the feed: the next read() reports end of stream.
+  void stop() { stop_.store(true, std::memory_order_release); }
+
+  /// Blocks handed out so far.
+  [[nodiscard]] std::uint64_t blocks() const {
+    return blocks_.load(std::memory_order_acquire);
+  }
+  /// The stamps of every block handed out, by seq.  Call once the engine has
+  /// stopped.
+  [[nodiscard]] std::vector<BlockStamp> stamps() { return log_.load(); }
+
+ private:
   std::shared_ptr<const Feed> feed_;
-  double rate_hz_;
-  PaceSchedule schedule_;  // first_paced_seq/anchor_ns set when pacing starts
-  bool pacing_ = false;
-  std::int64_t lead_ns_;
-  std::size_t capacity_;
-  std::unique_ptr<std::int64_t[]> call_;
-  std::unique_ptr<std::int64_t[]> due_;
-  std::unique_ptr<std::int64_t[]> ret_;
+  std::uint64_t max_blocks_;
+  std::uint64_t position_ = 0;  // stream position of the next block
+  RecordLog<BlockStamp> log_{"perfbench-blocks"};
   std::atomic<std::uint64_t> blocks_{0};
-  std::atomic<bool> pace_requested_{false};
   std::atomic<bool> stop_{false};
 };
 
@@ -224,6 +234,21 @@ class TimedBackend final : public core::ArchitectureBackend {
 /// FNV-1a over a chunk's (i, q) pairs.
 std::uint64_t digest(std::span<const core::IqSample> iq);
 
+/// What the client keeps of one polled chunk: its block, a digest of its
+/// samples, its metadata, and when the poll that returned it ran.
+struct ChunkRecord {
+  std::uint64_t seq = 0;
+  std::uint64_t digest = 0;
+  std::int64_t poll_start_ns = 0;
+  std::int64_t poll_end_ns = 0;
+  std::uint32_t session = 0;
+  std::uint32_t outputs = 0;
+  stream::GapCause gap = stream::GapCause::kNone;
+  bool dropped = false;
+
+  static ChunkRecord of(std::uint32_t session, const stream::StreamChunk& chunk);
+};
+
 /// Output cadence of a plan from a fresh (or kFlush-reset) state: the first
 /// output appears after input `first` (0-based) and then every `period`
 /// inputs.  Derived by pushing samples through a fresh DdcPipeline.
@@ -238,13 +263,13 @@ struct Cadence {
   }
 };
 
-/// Collects one session's polled chunks and judges them against a
+/// Collects one session's chunk records and judges them against a
 /// reference.  A chunk fails when it is missing, out of order or
 /// duplicated, gap-marked without cause, carries a drop count, or differs
 /// from the reference.
 class SessionCheck {
  public:
-  void on_chunk(const stream::StreamChunk& chunk);
+  void on_chunk(const ChunkRecord& chunk);
 
   /// Bit-exact judgement: `reference[k]` is the digest of the reference's
   /// outputs for feed block k, and every expected block must match it.
@@ -269,9 +294,7 @@ class SessionCheck {
     bool present = false;
     bool dropped = false;
   };
-  // By block seq.  A deque grows without the copy-and-double peaks a vector
-  // would add to the run's peak RSS.
-  std::deque<Entry> entries_;
+  std::vector<Entry> entries_;   // by block seq
   std::uint64_t misordered_ = 0; // chunks whose seq was not the next expected
 };
 

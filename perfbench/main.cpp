@@ -5,39 +5,31 @@
 //   perfbench_ddc --setup-only --workload <name> --seed <n>
 //
 // One process serves one workload from one seeded feed through the public
-// stream API (StreamEngine, Session, a paced Source) and checks every chunk.
+// stream API (StreamEngine, Session, a replay Source) and checks every chunk.
 // --trace 0 prints the end-to-end metrics of one measured window; --trace 1
 // splits the window into an untraced and a traced half (the difference is
 // the tracing overhead), derives the per-layer metrics from the traced
 // half's spans and runs the single-threaded layer probes.  The last stdout
 // line is the result object; everything before it is for people.
 //
-// Why these workloads:
-//   fanout64         closed loop, 64 detuned Figure-1 sessions on
-//                    native-pipeline: kernel and executor work dominate and
-//                    engine overhead is amortised, so a dsp/core speed-up
-//                    shows here.
-//   realtime_retune  open loop paced at the paper's 64.512 MS/s ADC rate,
-//                    two native sessions at about 40% of the workers'
-//                    capacity, one session retuned every 8 ms: the
-//                    pump->ring->worker->ring->client path and the control
-//                    plane set the latency, kernels are a small share.
-//   mixed_arch       closed loop, one session on each of the seven
-//                    backends plus functional sessions: per-session cost
-//                    differs ~50x and gpp-arm is the critical path, so a
-//                    scheduler or simulator gain moves it and a dsp gain
-//                    should not.
+// Why these workloads (both closed loops: a block is due when the pump asks
+// for it):
+//   fanout64    64 detuned Figure-1 sessions on native-pipeline: kernel and
+//               executor work dominate and engine overhead is amortised, so
+//               a dsp/core speed-up shows here.
+//   mixed_arch  one session on each of the seven backends plus functional
+//               sessions: per-session cost differs ~50x and gpp-arm is the
+//               critical path, so a scheduler or simulator gain moves it and
+//               a dsp gain should not.
 // Every workload runs the same client control probe (one retune every
-// kRetunePeriod, alternating a kSplice to a fresh NCO frequency -- a plan
+// kRetunePeriodNs, alternating a kSplice to a fresh NCO frequency -- a plan
 // cache miss -- and a kFlush back to the session's own plan -- a hit), so
-// the retune metrics exist everywhere: on the closed loops they measure the
-// control plane under saturation.
+// the retune metrics measure the control plane under saturation.
 //
 // Cold start: the first engine pass in a process ran 5-10x slower than the
-// next in probes, and a paced run fell 0.82 s behind during it.  Every
-// window therefore follows an untimed, unpaced warm-up (see kMinWarmupNs);
-// the time its first Workload::warmup_blocks take is reported as
-// engine.cold_pass_s.  setup_s stays cold.
+// next in probes.  Every window therefore follows an untimed warm-up (see
+// kMinWarmupNs); the time its first Workload::warmup_blocks take is
+// reported as engine.cold_pass_s.  setup_s stays cold.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -71,14 +63,11 @@ constexpr std::int64_t kRetunePeriodNs = 8'000'000;
 /// latencies is the median over slices, so a burst of interference from
 /// outside the process moves one slice, not the result.
 constexpr std::int64_t kSliceNs = 500'000'000;
-/// Unpaced warm-up before every window: at least the workload's
-/// warmup_blocks (whose wall time is the reported cold pass) and at least
-/// this long, as the serving rate kept climbing for a second or two after
-/// the cold pass in probes.
+/// Warm-up before every window: at least the workload's warmup_blocks
+/// (whose wall time is the reported cold pass) and at least this long, as
+/// the serving rate kept climbing for a second or two after the cold pass
+/// in probes.
 constexpr std::int64_t kMinWarmupNs = 2'000'000'000;
-/// Sessions of the paced workload: about 40% of three workers' capacity
-/// at the native backend's inline rate on the 4-vCPU reference host.
-constexpr int kRealtimeSessions = 2;
 /// Extra functional-session sets in mixed_arch (one each of native, fixed,
 /// float and gc4016 per set): enough that the rest of the mix needs about
 /// two of the three workers at the gpp-arm session's inline rate.
@@ -100,7 +89,7 @@ core::ChainPlan plan_on(const std::string& backend, const core::DdcConfig& cfg) 
 }  // namespace
 
 bool known_workload(const std::string& name) {
-  return name == "fanout64" || name == "realtime_retune" || name == "mixed_arch";
+  return name == "fanout64" || name == "mixed_arch";
 }
 
 Workload build_workload(const std::string& name, std::uint64_t seed) {
@@ -118,16 +107,6 @@ Workload build_workload(const std::string& name, std::uint64_t seed) {
     for (int k = 0; k < 64; ++k)
       w.sessions.push_back({backends::kNative, plan_on(backends::kNative, detuned(37.5e3 * k))});
     w.retuned = 63;
-  } else if (name == "realtime_retune") {
-    w.pace_hz = kAdcRateHz;
-    // 254 us blocks: at 4096 samples (63.5 us) the open loop's median
-    // latency measured how fast an idle vCPU wakes, and read 0.1, 0.3 or
-    // 0.5 ms from run to run of one build.
-    w.block_samples = 4 * kBlockSamples;
-    w.warmup_blocks = 250;
-    for (int k = 0; k < kRealtimeSessions; ++k)
-      w.sessions.push_back({backends::kNative, plan_on(backends::kNative, detuned(100.0e3 * k))});
-    w.retuned = 0;
   } else if (name == "mixed_arch") {
     w.warmup_blocks = 40;
     for (const auto& b : {backends::kNative, backends::kFixedDdc, backends::kFloatDdc,
@@ -149,13 +128,6 @@ Workload build_workload(const std::string& name, std::uint64_t seed) {
 namespace {
 
 // ------------------------------------------------------------------ serving
-
-struct Poll {
-  std::uint32_t session;
-  std::uint64_t seq;
-  std::int64_t start_ns;
-  std::int64_t end_ns;
-};
 
 struct ServeResult {
   double setup_s = 0.0;
@@ -182,34 +154,27 @@ struct ServeResult {
   std::string stats_json;
   core::CompiledPlanCache::Stats cache_before;
   core::CompiledPlanCache::Stats cache_after;
-  // Traced runs only.
-  std::vector<Poll> polls;
-  std::size_t first_log = 0;
-  std::shared_ptr<PacedSource> source_view;
+  std::vector<ChunkRecord> chunks;  ///< every polled chunk, in poll order
+  std::vector<BlockStamp> blocks;   ///< every feed block, by seq
+  std::size_t first_log = 0;        ///< traced runs: the first session's CallLog
 };
 
-/// Forwards to a PacedSource the caller keeps a handle on (the engine owns
-/// its Source; the client loop needs the block clock after the run).
+/// Forwards to a ReplaySource the caller keeps a handle on (the engine owns
+/// its Source; the client needs the block stamps after the run).
 class SharedSource final : public stream::Source {
  public:
-  explicit SharedSource(std::shared_ptr<PacedSource> inner) : inner_(std::move(inner)) {}
+  explicit SharedSource(std::shared_ptr<ReplaySource> inner) : inner_(std::move(inner)) {}
   std::size_t read(std::span<std::int64_t> out) override { return inner_->read(out); }
 
  private:
-  std::shared_ptr<PacedSource> inner_;
+  std::shared_ptr<ReplaySource> inner_;
 };
 
-stream::EngineOptions engine_options(const Workload& w) {
+stream::EngineOptions engine_options() {
   stream::EngineOptions opts;
   opts.workers = worker_count();
-  opts.block_samples = w.block_samples;
+  opts.block_samples = kBlockSamples;
   return opts;
-}
-
-std::size_t capacity_blocks(double seconds, std::size_t block_samples) {
-  // Generous: the paced feed at twice the ADC rate, for the whole run.
-  return static_cast<std::size_t>((seconds + 60.0) * 2.0 * kAdcRateHz /
-                                  static_cast<double>(block_samples));
 }
 
 std::vector<core::ChainPlan> fresh_retune_plans(const core::ChainPlan& base,
@@ -232,12 +197,24 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
   ServeResult r;
   r.cache_before = core::CompiledPlanCache::instance().stats();
 
+  // The harness's own bookkeeping is sized before set-up: the slices and the
+  // retune samples here, every chunk and feed block in logs outside the
+  // resident set.  What grows during the run is the serving system's.
+  r.slices.resize(std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(seconds * 1e9 / kSliceNs))));
+  const auto max_retunes =
+      static_cast<std::size_t>(static_cast<std::int64_t>(r.slices.size()) * kSliceNs /
+                               kRetunePeriodNs) + 2;
+  r.retune_ms.reserve(max_retunes);
+  std::vector<std::uint64_t> flush_seqs;  // first block after each kFlush
+  flush_seqs.reserve(max_retunes);
+  auto source = std::make_shared<ReplaySource>(feed);
+  RecordLog<ChunkRecord> chunk_log("perfbench-chunks");
+
   // ---- set-up (cold): build plans, open every session, start.
   const std::int64_t setup_start = now_ns();
   const Workload w = build_workload(name, seed);
-  auto source = std::make_shared<PacedSource>(feed, w.pace_hz, w.block_samples, 20'000'000,
-                                              capacity_blocks(seconds, w.block_samples));
-  stream::StreamEngine engine(std::make_unique<SharedSource>(source), engine_options(w));
+  stream::StreamEngine engine(std::make_unique<SharedSource>(source), engine_options());
   r.first_log = recorder ? recorder->logs_created() : 0;
   std::vector<std::shared_ptr<stream::Session>> sessions;
   for (const auto& s : w.sessions)
@@ -248,12 +225,10 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
   r.setup_s = 1e-9 * static_cast<double>(started - setup_start);
 
   const auto& base = w.sessions[w.retuned].plan;
-  const auto fresh = fresh_retune_plans(
-      base, seed, static_cast<std::size_t>(seconds * 1e9 / kRetunePeriodNs) + 2);
+  const auto fresh = fresh_retune_plans(base, seed, max_retunes);
 
   // ---- client loop: warm-up, measured window, drain.
   enum class Phase { kWarmup, kWindow, kDrain } phase = Phase::kWarmup;
-  std::vector<SessionCheck> checks(sessions.size());
   std::vector<std::uint64_t> next_seq(sessions.size(), 0);
   std::int64_t window_start = std::numeric_limits<std::int64_t>::max();
   std::int64_t window_end = std::numeric_limits<std::int64_t>::max();
@@ -263,7 +238,6 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
   std::int64_t slice_start = 0;
   double slice_cpu = 0.0;
   std::size_t retunes = 0;
-  std::vector<std::uint64_t> flush_seqs;  // first block after each kFlush
   std::uint64_t rejected = 0;
   for (;;) {
     const auto token = engine.output_token();
@@ -275,21 +249,15 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
       const std::int64_t poll_end = now_ns();
       any = true;
       for (const auto& chunk : chunks) {
-        checks[i].on_chunk(chunk);
+        ChunkRecord record = ChunkRecord::of(static_cast<std::uint32_t>(i), chunk);
+        record.poll_start_ns = poll_start;
+        record.poll_end_ns = poll_end;
+        chunk_log.append(record);
         next_seq[i] = chunk.block_seq + 1;
-        const std::int64_t due = source->due_ns(chunk.block_seq);
-        if (due >= window_start && due < window_end) {
-          const double ms = 1e-6 * static_cast<double>(poll_end - due);
-          r.slices[static_cast<std::size_t>((due - window_start) / kSliceNs)]
-              .latency_ms.push_back(ms);
-        }
         if (phase == Phase::kWindow) {
-          r.window_samples += w.block_samples;
-          r.slices[slice].samples += w.block_samples;
+          r.window_samples += kBlockSamples;
+          r.slices[slice].samples += kBlockSamples;
         }
-        if (recorder)
-          r.polls.push_back(Poll{static_cast<std::uint32_t>(i), chunk.block_seq,
-                                 poll_start, poll_end});
       }
     }
     const std::int64_t now = now_ns();
@@ -299,17 +267,11 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
       r.cold_pass_s = 1e-9 * static_cast<double>(now - started);
     if (phase == Phase::kWarmup && r.cold_pass_s > 0.0 && now - started >= kMinWarmupNs) {
       phase = Phase::kWindow;
-      source->start_pacing();
-      r.slices.resize(std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::llround(seconds * 1e9 / kSliceNs))));
       window_start = now;
       window_end = now + static_cast<std::int64_t>(r.slices.size()) * kSliceNs;
       next_retune = now + kRetunePeriodNs;
       cpu_start = slice_cpu = process_cpu_seconds();
       slice_start = now;
-      // The serving system is at its steady footprint after the warm-up;
-      // from here on only the harness's per-chunk bookkeeping grows.
-      r.rss_mb = peak_rss_mb();
     } else if (phase == Phase::kWindow &&
                now >= window_start + static_cast<std::int64_t>(slice + 1) * kSliceNs) {
       const double cpu = process_cpu_seconds();
@@ -344,16 +306,33 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
     engine.wait_output(token);
   }
   engine.stop();
+  // The high-water mark of the whole run, the window and the drain
+  // included.  Everything the harness allocates per chunk or per block
+  // comes after this line.
+  r.rss_mb = peak_rss_mb();
   r.window_start_ns = window_start;
   r.window_end_ns = window_end;
   r.stats_json = engine.stats_json();
   r.cache_after = core::CompiledPlanCache::instance().stats();
-  for (std::uint64_t k = 0; k < source->blocks(); ++k)
-    if (source->return_ns(k) >= window_start && source->return_ns(k) <= window_end)
-      ++r.window_feed_blocks;
+  r.blocks = source->stamps();
+  r.chunks = chunk_log.load();
+  for (const auto& b : r.blocks)
+    if (b.return_ns >= window_start && b.return_ns <= window_end) ++r.window_feed_blocks;
+
+  // ---- chunk latency: from the moment the pump asked for the block to the
+  // poll that returned its chunk, filed under the slice the block was due in.
+  std::vector<SessionCheck> checks(sessions.size());
+  for (const auto& c : r.chunks) {
+    checks[c.session].on_chunk(c);
+    if (c.seq >= r.blocks.size()) continue;  // the checker counts it
+    const std::int64_t due = r.blocks[c.seq].call_ns;
+    if (due >= window_start && due < window_end)
+      r.slices[static_cast<std::size_t>((due - window_start) / kSliceNs)]
+          .latency_ms.push_back(1e-6 * static_cast<double>(c.poll_end_ns - due));
+  }
 
   // ---- correctness: every chunk of every session against its reference.
-  const std::uint64_t blocks = source->blocks();
+  const std::uint64_t blocks = r.blocks.size();
   r.attempted = blocks * sessions.size();
   if (engine.source_fault().cause != twiddc::FaultCause::kNone)
     add_problem(r, "the feed faulted");
@@ -370,11 +349,11 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
     for (std::size_t i; (i = next.fetch_add(1)) < sessions.size();) {
       try {
         failed[i] = i == w.retuned
-                        ? checks[i].failed_retuned(blocks, w.block_samples,
+                        ? checks[i].failed_retuned(blocks, kBlockSamples,
                                                    Cadence::of(base), flush_seqs)
                         : checks[i].failed_against(reference_digests(
                               w.sessions[i].backend, w.sessions[i].plan, *feed,
-                              w.block_samples, blocks));
+                              kBlockSamples, blocks));
       } catch (const std::exception& e) {
         failed[i] = blocks;  // no reference, nothing verified
         errors[i] = e.what();
@@ -392,7 +371,6 @@ ServeResult serve(const std::string& name, std::uint64_t seed,
       add_problem(r, "session " + std::to_string(i) + " reference: " + errors[i]);
   }
   if (r.failed > 0) add_problem(r, std::to_string(r.failed) + " chunks failed the check");
-  if (recorder) r.source_view = source;
   return r;
 }
 
@@ -423,9 +401,9 @@ void print_tail(const char* label, const std::vector<double>& v, double wanted,
 
 /// Every end-to-end metric of one serve.  The result object carries the
 /// bounded ones (kBounded); the medians are printed beside them but carry no
-/// bound: on the closed loops they follow the scheduler's session placement
-/// and read 4 or 10 ms (mixed_arch chunk latency) from run to run of one
-/// build, while the tails are set by the critical path and repeat.
+/// bound: they follow the scheduler's session placement and read 4 or 10 ms
+/// (mixed_arch chunk latency) from run to run of one build, while the tails
+/// are set by the critical path and repeat.
 std::vector<Metric> end_to_end(const ServeResult& r, double setup_s) {
   std::vector<double> msps, p50, p99, cores;
   for (const auto& s : r.slices) {
@@ -457,7 +435,7 @@ constexpr const char* kBounded[] = {"throughput_msps",       "chunk_latency_p99_
 std::vector<Metric> stream_layer_metrics(const ServeResult& traced,
                                          const SpanRecorder& recorder,
                                          std::size_t sessions) {
-  const PacedSource& src = *traced.source_view;
+  const auto& blocks = traced.blocks;
   const auto in_window = [&](std::int64_t t) {
     return t >= traced.window_start_ns && t <= traced.window_end_ns;
   };
@@ -465,23 +443,24 @@ std::vector<Metric> stream_layer_metrics(const ServeResult& traced,
   double busy_ns = 0.0;
   for (std::size_t i = 0; i < sessions; ++i) {
     const auto& calls = recorder.log(traced.first_log + i).calls;
-    for (std::size_t k = 0; k < calls.size(); ++k) {
+    for (std::size_t k = 0; k < calls.size() && k < blocks.size(); ++k) {
       if (!in_window(calls[k].start_ns)) continue;
       busy_ns += static_cast<double>(calls[k].end_ns - calls[k].start_ns);
-      input_wait.push_back(1e-6 * static_cast<double>(calls[k].start_ns - src.return_ns(k)));
+      input_wait.push_back(1e-6 * static_cast<double>(calls[k].start_ns - blocks[k].return_ns));
     }
   }
-  for (const auto& p : traced.polls) {
-    if (!in_window(p.end_ns)) continue;
-    const auto& calls = recorder.log(traced.first_log + p.session).calls;
-    output_wait.push_back(1e-6 * static_cast<double>(p.end_ns - calls[p.seq].end_ns));
-    poll_us.push_back(1e-3 * static_cast<double>(p.end_ns - p.start_ns));
+  for (const auto& c : traced.chunks) {
+    if (!in_window(c.poll_end_ns)) continue;
+    const auto& calls = recorder.log(traced.first_log + c.session).calls;
+    output_wait.push_back(1e-6 * static_cast<double>(c.poll_end_ns - calls.at(c.seq).end_ns));
+    poll_us.push_back(1e-3 * static_cast<double>(c.poll_end_ns - c.poll_start_ns));
   }
-  for (std::uint64_t k = 0; k + 1 < src.blocks(); ++k) {
-    if (!in_window(src.due_ns(k))) continue;
-    late.push_back(1e-6 * static_cast<double>(
-                              PaceSchedule::lateness_ns(src.due_ns(k), src.return_ns(k))));
-    fanout.push_back(1e-3 * static_cast<double>(src.call_ns(k + 1) - src.return_ns(k)));
+  for (std::size_t k = 0; k + 1 < blocks.size(); ++k) {
+    if (!in_window(blocks[k].call_ns)) continue;
+    // A block is due when the pump asks for it, so the generator is late by
+    // exactly the read.
+    late.push_back(1e-6 * static_cast<double>(blocks[k].return_ns - blocks[k].call_ns));
+    fanout.push_back(1e-3 * static_cast<double>(blocks[k + 1].call_ns - blocks[k].return_ns));
   }
   const double blocks_processed = json_sum(traced.stats_json, "blocks_processed");
   const double executed = json_sum(traced.stats_json, "tasks_executed");
@@ -518,13 +497,17 @@ std::vector<Metric> stream_layer_metrics(const ServeResult& traced,
 void write_spans(const std::string& path, const ServeResult& traced,
                  const SpanRecorder& recorder, const std::string& provenance) {
   constexpr std::size_t kMaxEvents = 200000;
-  const PacedSource& src = *traced.source_view;
+  const auto& blocks = traced.blocks;
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write spans to %s\n", path.c_str());
     return;
   }
   const std::int64_t t0 = traced.window_start_ns;
+  const auto in_window = [&](std::uint64_t seq) {
+    return seq < blocks.size() && blocks[seq].call_ns >= t0 &&
+           blocks[seq].call_ns <= traced.window_end_ns;
+  };
   std::size_t events = 0;
   bool first = true;
   auto span = [&](const char* name, int tid, std::int64_t start, std::int64_t end,
@@ -539,16 +522,15 @@ void write_spans(const std::string& path, const ServeResult& traced,
     first = false;
   };
   out << "{\"otherData\":" << provenance << ",\"traceEvents\":[\n";
-  for (std::uint64_t k = 0; k < src.blocks(); ++k)
-    if (src.due_ns(k) >= t0 && src.due_ns(k) <= traced.window_end_ns)
-      span("source.read", 0, src.call_ns(k), src.return_ns(k), -1, k, "");
-  for (const auto& p : traced.polls) {
-    if (src.due_ns(p.seq) < t0 || src.due_ns(p.seq) > traced.window_end_ns) continue;
-    const auto& call = recorder.log(traced.first_log + p.session).calls[p.seq];
-    const int tid = 1 + static_cast<int>(p.session);
-    span("block", tid, src.due_ns(p.seq), p.end_ns, p.session, p.seq, "source.read");
-    span("backend.process_block", tid, call.start_ns, call.end_ns, p.session, p.seq, "block");
-    span("client.poll", tid, p.start_ns, p.end_ns, p.session, p.seq, "block");
+  for (std::uint64_t k = 0; k < blocks.size(); ++k)
+    if (in_window(k)) span("source.read", 0, blocks[k].call_ns, blocks[k].return_ns, -1, k, "");
+  for (const auto& c : traced.chunks) {
+    if (!in_window(c.seq)) continue;
+    const auto& call = recorder.log(traced.first_log + c.session).calls.at(c.seq);
+    const int tid = 1 + static_cast<int>(c.session);
+    span("block", tid, blocks[c.seq].call_ns, c.poll_end_ns, c.session, c.seq, "source.read");
+    span("backend.process_block", tid, call.start_ns, call.end_ns, c.session, c.seq, "block");
+    span("client.poll", tid, c.poll_start_ns, c.poll_end_ns, c.session, c.seq, "block");
   }
   out << "\n]}\n";
 }
@@ -575,9 +557,8 @@ struct Args {
 
 int usage(const char* why) {
   std::fprintf(stderr,
-               "perfbench_ddc: %s\nusage: perfbench_ddc --workload "
-               "fanout64|realtime_retune|mixed_arch --seed N --seconds S --trace 0|1 "
-               "[--spans-dir DIR] [--setup-only]\n",
+               "perfbench_ddc: %s\nusage: perfbench_ddc --workload fanout64|mixed_arch "
+               "--seed N --seconds S --trace 0|1 [--spans-dir DIR] [--setup-only]\n",
                why);
   return 2;
 }
@@ -627,10 +608,10 @@ int main(int argc, char** argv) {
   if (a.setup_only) {
     // A fresh process per sample keeps set-up cold: no compiled plan, no
     // pooled coefficients, no warmed allocator.  An empty feed ends at once.
+    auto source = std::make_unique<ReplaySource>(feed, 0);
     const std::int64_t t0 = now_ns();
     const Workload w = build_workload(a.workload, a.seed);
-    stream::StreamEngine engine(
-        std::make_unique<PacedSource>(feed, 0.0, w.block_samples, 0, 0), engine_options(w));
+    stream::StreamEngine engine(std::move(source), engine_options());
     for (const auto& s : w.sessions) engine.open(s.plan, s.backend);
     engine.start();
     const double setup_s = 1e-9 * static_cast<double>(now_ns() - t0);
@@ -719,7 +700,7 @@ int main(int argc, char** argv) {
   for (const auto& s : w.sessions)
     for (const auto& m : layers)
       if (m.name == "backend." + s.backend + ".msps") slowest = std::min(slowest, m.value);
-  const double feed_msps = static_cast<double>(traced.window_feed_blocks * w.block_samples) /
+  const double feed_msps = static_cast<double>(traced.window_feed_blocks * kBlockSamples) /
                            traced.window_s / 1e6;
   metrics.push_back({"engine.critical_path_frac", feed_msps / slowest, "fraction"});
 

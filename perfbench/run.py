@@ -23,7 +23,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("fanout64", "realtime_retune", "mixed_arch")
+WORKLOADS = ("fanout64", "mixed_arch")
 REFUSED_ENV = ("TWIDDC_TRACE", "TWIDDC_FIR_LOWERING", "TWIDDC_WORKERS")
 SETUP_SAMPLES = 7
 RUN_TIMEOUT_S = 170

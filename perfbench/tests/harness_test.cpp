@@ -1,5 +1,5 @@
-// Self-tests of the benchmark harness: the percentile rule, the pacing
-// arithmetic, the output checker and the timing decorator.
+// Self-tests of the benchmark harness: the percentile rule, the record log
+// and the source's stamps, the output checker and the timing decorator.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -49,55 +49,49 @@ TEST(Percentile, TailNeedsTenSamplesBeyondItsRank) {
   EXPECT_EQ(tail_percentile(ramp(100000), 99.0).percentile, 99.0);  // never above wanted
 }
 
-TEST(Pacing, DueTimesFollowTheAdcFromTheAnchor) {
-  PaceSchedule s;
-  s.rate_hz = 64.512e6;
-  s.block_samples = kBlock;
-  s.first_paced_seq = 10;
-  s.anchor_ns = 1'000'000'000;
-  EXPECT_EQ(s.due_ns(9, 123), 123);  // warm-up: due when asked
-  // One block is 4096 / 64.512 MHz = 63492.06 ns; a block is due when its
-  // last sample would have arrived.
-  EXPECT_EQ(s.due_ns(10, 0), 1'000'063'492);
-  EXPECT_EQ(s.due_ns(73, 0), 1'000'000'000 + 4'063'492);  // 64 periods
-  EXPECT_EQ(PaceSchedule::lateness_ns(s.due_ns(10, 0), 1'000'070'000), 6'508);
-
-  PaceSchedule closed;
-  EXPECT_EQ(closed.due_ns(1'000'000, 42), 42);
+TEST(RecordLog, LoadsEveryRecordInOrder) {
+  EXPECT_TRUE(RecordLog<BlockStamp>("perfbench-test").load().empty());
+  RecordLog<BlockStamp> log("perfbench-test");
+  for (std::int64_t k = 0; k < 100'000; ++k) log.append(BlockStamp{k, -k});
+  const auto records = log.load();
+  ASSERT_EQ(records.size(), 100'000u);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    ASSERT_EQ(records[k].call_ns, static_cast<std::int64_t>(k));
+    ASSERT_EQ(records[k].return_ns, -static_cast<std::int64_t>(k));
+  }
 }
 
-TEST(Pacing, SourceSleepsUntilDueAndStampsEveryBlock) {
+TEST(ReplaySource, ReplaysTheFeedAndStampsEveryBlock) {
   auto feed = std::make_shared<const Feed>(7, 12, 64.512e6, 10'000);
-  const double one_block_per_2ms = kBlock / 2e-3;
-  PacedSource src(feed, one_block_per_2ms, kBlock, /*lead_ns=*/0, /*capacity_blocks=*/5);
+  ReplaySource src(feed, /*max_blocks=*/5);
   std::vector<std::int64_t> out(kBlock), want(kBlock);
   for (std::uint64_t k = 0; k < 5; ++k) {
-    if (k == 2) src.start_pacing();
     ASSERT_EQ(src.read(out), kBlock);
     feed->fill(k * kBlock, want);
     EXPECT_EQ(out, want);
   }
-  EXPECT_EQ(src.read(out), 0u);  // capacity reached: end of stream
+  EXPECT_EQ(src.read(out), 0u);  // max_blocks reached: end of stream
   EXPECT_EQ(src.blocks(), 5u);
-  for (std::uint64_t k : {0, 1}) EXPECT_EQ(src.due_ns(k), src.call_ns(k));
-  EXPECT_EQ(src.due_ns(2), src.call_ns(2) + 2'000'000);  // anchored at its own read
-  for (std::uint64_t k = 2; k < 5; ++k) {
-    EXPECT_EQ(src.due_ns(k) - src.due_ns(2), static_cast<std::int64_t>(k - 2) * 2'000'000);
-    EXPECT_GE(src.return_ns(k), src.due_ns(k));  // never early
+  const auto stamps = src.stamps();
+  ASSERT_EQ(stamps.size(), 5u);
+  for (std::size_t k = 0; k < stamps.size(); ++k) {
+    EXPECT_LE(stamps[k].call_ns, stamps[k].return_ns);
+    if (k > 0) EXPECT_LE(stamps[k - 1].return_ns, stamps[k].call_ns);
   }
 
-  PacedSource stopped(feed, 0.0, kBlock, 0, 5);
+  ReplaySource stopped(feed);
   stopped.stop();
   EXPECT_EQ(stopped.read(out), 0u);
+  EXPECT_TRUE(stopped.stamps().empty());
 }
 
-stream::StreamChunk chunk(std::uint64_t seq, std::vector<core::IqSample> iq,
-                          stream::GapCause gap = stream::GapCause::kNone) {
+ChunkRecord chunk(std::uint64_t seq, std::vector<core::IqSample> iq,
+                  stream::GapCause gap = stream::GapCause::kNone) {
   stream::StreamChunk c;
   c.block_seq = seq;
   c.gap_before = gap;
   c.iq = std::move(iq);
-  return c;
+  return ChunkRecord::of(0, c);
 }
 
 std::vector<core::IqSample> payload(std::uint64_t seq) {
@@ -205,7 +199,7 @@ TEST(Checker, FlagsTheCorruptedChunkOfARealEngineRun) {
   opts.workers = 2;
   opts.block_samples = kBlock;
   twiddc::stream::StreamEngine engine(
-      std::make_unique<PacedSource>(feed, 0.0, kBlock, 0, 12), opts);
+      std::make_unique<ReplaySource>(feed, 12), opts);
   const auto plan = figure1();
   std::vector<std::shared_ptr<stream::Session>> sessions = {
       engine.open(plan, twiddc::backends::kNative), engine.open(plan, faulty)};
@@ -216,8 +210,8 @@ TEST(Checker, FlagsTheCorruptedChunkOfARealEngineRun) {
 
   const auto ref = reference_digests(twiddc::backends::kNative, plan, *feed, kBlock, 12);
   SessionCheck healthy, corrupted;
-  for (const auto& c : chunks[0]) healthy.on_chunk(c);
-  for (const auto& c : chunks[1]) corrupted.on_chunk(c);
+  for (const auto& c : chunks[0]) healthy.on_chunk(ChunkRecord::of(0, c));
+  for (const auto& c : chunks[1]) corrupted.on_chunk(ChunkRecord::of(1, c));
   EXPECT_EQ(healthy.failed_against(ref), 0u);
   EXPECT_EQ(corrupted.failed_against(ref), 1u);
 }
