@@ -18,25 +18,26 @@
 //   {"bench": "throughput_pipeline", "chain": "stream_engine:figure1",
 //    "sessions": 16, "workers": 4, "aggregate_msamples_per_s": ...,
 //    "scaling_vs_single": ...}
-// Keys are stable and additive across PRs; "kernel" and "channels" lines are
-// new in PR 2, "sessions" lines (end-to-end streaming-engine serving rate per
-// concurrent-session count) are new in PR 4, "chain" lines keep the PR 1
-// schema plus the "simd" tag.  PR 6 adds "figure1:fused_vs_staged" (plan
-// compiler's fused tile executor vs the staged pipeline, bit-exactness
-// asserted inline) and "plan_cache" (compile-time amortisation: 64 sessions
-// sharing one config vs 64 distinct configs).  PR 7 adds
-// "stream_engine:overload" (survivor p99 inter-chunk gap at 2x
-// oversubscription, one line with "shed": false and one with "shed": true --
-// the graceful-degradation headline).  PR 8 adds "stream_engine:saturation"
-// (aggregate serving rate + p99 inter-chunk gap at 64..4096 sessions,
-// single engine vs sharded EngineGroup -- the scale-out headline) and the
-// "workers_effective" field (TWIDDC_WORKERS / set_workers land here).
-// PR 10 adds "figure1:packed_fir" (cross-channel packed kernels vs
-// monolithic per-channel chains at 64 channels, one line per kernel tier)
-// and "figure1:da_vs_mac" (distributed-arithmetic FIR lowering vs the MAC
-// kernels, bit-exact, with the energy model's multiplier-vs-ROM numbers),
-// and every line is teed through benchutil::emit, so --out FILE /
-// TWIDDC_BENCH_OUT appends BENCH_<name>.json records for the trajectory.
+// Keys are stable and additive.  Besides the chain, kernel and channel-bank
+// lines above, the bench emits:
+//   "figure1:fused_vs_staged"   the plan compiler's fused tile executor vs
+//                               the staged pipeline, bit-exactness asserted
+//                               inline;
+//   "figure1:packed_fir"        cross-channel packed kernels vs monolithic
+//                               per-channel chains at 64 channels, one line
+//                               per kernel tier;
+//   "plan_cache"                compile-time amortisation: 64 sessions
+//                               sharing one config vs 64 distinct configs;
+//   "stream_engine:overload"    survivor p99 inter-chunk gap at 2x
+//                               oversubscription, shedding off and on;
+//   "stream_engine:saturation"  aggregate serving rate + p99 inter-chunk gap
+//                               at 64..4096 sessions, single engine vs
+//                               sharded EngineGroup;
+//   "stream_engine:trace"       the cost of recording trace events.
+// Engine lines carry "workers_effective", the engine's resolved worker count
+// (where TWIDDC_WORKERS lands).  Every line is teed through
+// benchutil::emit, so --out FILE / TWIDDC_BENCH_OUT appends
+// BENCH_<name>.json records for the trajectory.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -64,7 +65,6 @@
 #include "src/core/plan_compiler.hpp"
 #include "src/dsp/cic.hpp"
 #include "src/dsp/fir.hpp"
-#include "src/energy/da_model.hpp"
 #include "src/dsp/fir_design.hpp"
 #include "src/dsp/mixer.hpp"
 #include "src/dsp/nco.hpp"
@@ -171,80 +171,6 @@ void bench_fused_vs_staged() {
       .field("block_samples", input.size())
       .field("simd", twiddc::simd::isa_name());
   twiddc::benchutil::emit("figure1:fused_vs_staged", j);
-}
-
-// ----------------------------------------------------------- DA vs MAC FIR
-
-// Distributed-arithmetic lowering headline: the same compiled Figure-1 plan
-// executed with the FIR tail forced to the MAC kernels and forced to the
-// 4-bit-slice DA engine, bit-exactness asserted inline (the DA per-tile
-// fits-guard makes the lowering unconditionally exact).  Software
-// throughput usually favours MAC -- the SIMD dot kernels are the fast path
-// -- so the line exists to keep the DA path honest in the trajectory and to
-// surface the hardware-side trade the energy model quantifies: zero
-// multipliers vs ROM bits and W lookups per output (arXiv:1403.4554
-// direction).
-//   {"bench": "throughput_pipeline", "chain": "figure1:da_vs_mac",
-//    "mac_msamples_per_s": ..., "da_msamples_per_s": ..., "bit_exact": true,
-//    "da_stages": 1, "mac_multipliers": ..., "da_table_bits": ..., ...}
-
-void bench_da_vs_mac() {
-  using twiddc::core::FirLoweringPolicy;
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const auto plan = ChainPlan::figure1(cfg, spec);
-  const auto input = figure1_stimulus(cfg, kBlock);
-  const auto compiled =
-      twiddc::core::CompiledPlanCache::instance().get_or_compile(plan);
-
-  const FirLoweringPolicy saved = twiddc::core::fir_lowering_policy();
-  double rate[2] = {0.0, 0.0};
-  std::vector<IqSample> out[2];
-  std::size_t da_stages = 0;
-  for (const bool da : {false, true}) {
-    twiddc::core::set_fir_lowering_policy(da ? FirLoweringPolicy::kForceDa
-                                             : FirLoweringPolicy::kForceMac);
-    twiddc::core::FusedChainExec exec(compiled);
-    if (da) {
-      for (std::size_t s = 0; s < plan.stages.size(); ++s)
-        if (exec.active_lowering(s) == twiddc::core::FirLowering::kDa)
-          ++da_stages;
-    }
-    std::vector<IqSample> sink;
-    const Throughput t = measure_throughput(input.size(), [&] {
-      sink.clear();
-      exec.process_block(input, sink);
-    });
-    rate[da ? 1 : 0] = t.msamples_per_s();
-    exec.reset();
-    exec.process_block(input, out[da ? 1 : 0]);
-  }
-  twiddc::core::set_fir_lowering_policy(saved);
-
-  // Hardware-side costs of the same FIR stages, from the shared cost model.
-  std::size_t multipliers = 0;
-  std::size_t table_bits = 0;
-  std::size_t lookups = 0;
-  for (const auto& c : twiddc::energy::plan_fir_costs(plan)) {
-    multipliers += c.multipliers;
-    table_bits += c.table_bits;
-    lookups += c.lookups_per_output;
-  }
-
-  JsonLine j;
-  j.field("bench", std::string("throughput_pipeline"))
-      .field("chain", std::string("figure1:da_vs_mac"))
-      .field("mac_msamples_per_s", rate[0])
-      .field("da_msamples_per_s", rate[1])
-      .field("da_over_mac", rate[0] > 0.0 ? rate[1] / rate[0] : 0.0)
-      .field("bit_exact", out[0] == out[1])
-      .field("da_stages", da_stages)
-      .field("mac_multipliers", multipliers)
-      .field("da_table_bits", table_bits)
-      .field("da_lookups_per_output", lookups)
-      .field("block_samples", input.size())
-      .field("simd", twiddc::simd::isa_name());
-  twiddc::benchutil::emit("figure1:da_vs_mac", j);
 }
 
 // ---------------------------------------------------------- plan cache
@@ -659,7 +585,7 @@ void bench_stream_sessions() {
         .field("chain", std::string("stream_engine:figure1"))
         .field("sessions", sessions)
         .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.effective_workers()))
+        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
         .field("block_samples", opts.block_samples)
         .field("aggregate_msamples_per_s", aggregate)
         .field("scaling_vs_single", single_rate > 0.0 ? aggregate / single_rate : 0.0)
@@ -746,7 +672,7 @@ void bench_stream_overload() {
         .field("shed", shed)
         .field("sessions", static_cast<std::size_t>(2 * hw))
         .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.effective_workers()))
+        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
         .field("block_samples", opts.block_samples)
         .field("window_ms", static_cast<std::size_t>(kWindow.count()))
         .field("survivor_p50_gap_ms", recorder.gap_quantile_ms(ids, 0.50))
@@ -885,7 +811,7 @@ void bench_stream_saturation() {
       std::size_t workers_effective = 0;
       for (std::size_t i = 0; i < group.shard_count(); ++i)
         workers_effective +=
-            static_cast<std::size_t>(group.shard(i).effective_workers());
+            static_cast<std::size_t>(group.shard(i).options().workers);
 
       // Drain by index, not session id: ids are per-engine counters and
       // collide across shards, which would pool gap samples wrongly.
@@ -970,7 +896,6 @@ int main(int argc, char** argv) {
       {"figure1:wide16", [] { bench_figure1(DatapathSpec::wide16()); }},
       {"figure1:fpga", [] { bench_figure1(DatapathSpec::fpga()); }},
       {"figure1:fused_vs_staged", bench_fused_vs_staged},
-      {"figure1:da_vs_mac", bench_da_vs_mac},
       {"figure1:packed_fir", bench_packed_fir},
       {"plan_cache", bench_plan_cache},
       {"gc4016:figure4", bench_gc4016},

@@ -88,15 +88,9 @@ TaskScheduler::Deque::Array* TaskScheduler::Deque::grow(Array* old,
 // -------------------------------------------------------------- lifecycle
 
 TaskScheduler::TaskScheduler(Options opts) {
-  const int initial_raw = opts.initial > 0 ? opts.initial : default_worker_count();
-  min_workers_ = std::max(1, opts.min_workers);
-  int max_w = opts.max_workers > 0 ? opts.max_workers
-                                   : std::max(initial_raw, min_workers_);
-  max_w = std::max(max_w, min_workers_);
-  const int initial = std::clamp(initial_raw, min_workers_, max_w);
+  const int workers = opts.workers > 0 ? opts.workers : default_worker_count();
   pin_to_nodes_ = opts.pin_to_nodes;
   preferred_node_ = opts.preferred_node;
-  active_.store(initial, std::memory_order_relaxed);
 
   // Node assignments are fixed before any thread (or snapshot reader)
   // exists, so Worker::node stays a plain int.
@@ -104,60 +98,33 @@ TaskScheduler::TaskScheduler(Options opts) {
   const bool preferred_ok =
       preferred_node_ >= 0 &&
       static_cast<std::size_t>(preferred_node_) < topo.node_count();
-  workers_.reserve(static_cast<std::size_t>(max_w));
-  for (int w = 0; w < max_w; ++w) {
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
     worker->node = preferred_ok ? preferred_node_ : topology::worker_node(w, topo);
     workers_.push_back(std::move(worker));
   }
-  for (int w = 0; w < max_w; ++w)
+  for (int w = 0; w < workers; ++w)
     workers_[static_cast<std::size_t>(w)]->thread =
         std::thread([this, w] { worker_loop(w); });
 }
 
 TaskScheduler::TaskScheduler(int threads)
-    : TaskScheduler(Options{/*initial=*/std::max(1, threads),
-                            /*min_workers=*/std::max(1, threads),
-                            /*max_workers=*/std::max(1, threads),
+    : TaskScheduler(Options{/*workers=*/std::max(1, threads),
                             /*pin_to_nodes=*/false,
                             /*preferred_node=*/-1}) {}
-
-int TaskScheduler::resize(int n) {
-  std::lock_guard<std::mutex> lock(resize_mu_);
-  const int max_w = static_cast<int>(workers_.size());
-  n = std::clamp(n, min_workers_, max_w);
-  const int old = active_.load(std::memory_order_seq_cst);
-  if (n == old) return n;
-  active_.store(n, std::memory_order_seq_cst);
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  if (trace::enabled(kTraceCat)) {
-    static const std::uint16_t kName = trace::intern("resize");
-    trace::emit(kTraceCat, kName, trace::Phase::kInstant,
-                static_cast<std::uint64_t>(old), static_cast<std::uint64_t>(n));
-  }
-  // Wake every worker whose activation flipped: grown workers leave the
-  // deactivated park and start stealing; shrunk workers leave the normal
-  // park (or notice at their next loop top) and forward their queues.
-  for (int w = std::min(old, n); w < std::max(old, n); ++w)
-    wake_worker(*workers_[static_cast<std::size_t>(w)]);
-  note_activity();
-  return n;
-}
 
 std::vector<TaskScheduler::WorkerSnapshot> TaskScheduler::worker_snapshot()
     const {
   std::vector<WorkerSnapshot> out;
-  const int active = active_.load(std::memory_order_acquire);
   out.reserve(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const Worker& w = *workers_[i];
+  for (const auto& w : workers_) {
     WorkerSnapshot s;
     s.queue_depth =
-        w.deque.size_approx() + w.inbox_size.load(std::memory_order_relaxed);
-    s.active = static_cast<int>(i) < active;
-    s.sleeping = w.sleeping.load(std::memory_order_relaxed);
-    s.node = w.node;
+        w->deque.size_approx() + w->inbox_size.load(std::memory_order_relaxed);
+    s.sleeping = w->sleeping.load(std::memory_order_relaxed);
+    s.node = w->node;
     out.push_back(s);
   }
   return out;
@@ -186,12 +153,7 @@ TaskScheduler::~TaskScheduler() {
 
 void TaskScheduler::submit_to(int w, Task t) {
   if (stop_.load(std::memory_order_acquire)) return;  // shutting down: drop
-  // Route over the ACTIVE prefix: deactivated workers take no new work.  A
-  // racing shrink can still land a task on a freshly deactivated worker;
-  // the wake below makes it forward the straggler and re-park.
-  const auto active = static_cast<std::size_t>(
-      std::max(1, active_.load(std::memory_order_seq_cst)));
-  auto& target = *workers_[static_cast<std::size_t>(w) % active];
+  auto& target = *workers_[static_cast<std::size_t>(w) % workers_.size()];
   auto* node = new TaskNode{std::move(t)};
   {
     std::lock_guard<std::mutex> lock(target.inbox_mu);
@@ -290,8 +252,7 @@ TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
       return node;
     }
   }
-  // Deques are dry everywhere.  (Deactivated victims are swept too: their
-  // owner may not have forwarded a straggler yet.)
+  // Deques are dry everywhere.
   // A BUSY victim's inbox is work too: a worker drains its own inbox only
   // when its deque runs dry, so without this sweep a batch queued behind a
   // grinding worker (e.g. a second tile chain behind a long one) would be
@@ -345,55 +306,11 @@ void TaskScheduler::wake_worker(Worker& w) {
 
 void TaskScheduler::maybe_wake_sleeper() {
   if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  // Only the active prefix sets `sleeping` (the deactivated park does not),
-  // but bound the sweep anyway: waking a deactivated worker for stealable
-  // work is a futile futex round-trip.
-  const auto active = static_cast<std::size_t>(
-      std::max(1, active_.load(std::memory_order_seq_cst)));
-  const std::size_t n = std::min(active, workers_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (workers_[i]->sleeping.load(std::memory_order_seq_cst)) {
-      wake_worker(*workers_[i]);
+  for (const auto& w : workers_) {
+    if (w->sleeping.load(std::memory_order_seq_cst)) {
+      wake_worker(*w);
       return;
     }
-  }
-}
-
-void TaskScheduler::forward_queues(Worker& me) {
-  // Deque first (owner pops are safe against concurrent thieves), then the
-  // inbox batch.  pop_bottom is LIFO, so reverse before appending to keep
-  // each queue's order; the combined vector then re-submits round-robin
-  // over the active prefix.
-  std::vector<TaskNode*> moved;
-  while (TaskNode* n = me.deque.pop_bottom()) moved.push_back(n);
-  std::reverse(moved.begin(), moved.end());
-  {
-    std::lock_guard<std::mutex> lock(me.inbox_mu);
-    moved.insert(moved.end(), me.inbox.begin(), me.inbox.end());
-    me.inbox.clear();
-    me.inbox_size.store(0, std::memory_order_seq_cst);
-  }
-  for (TaskNode* n : moved) {
-    const auto active = static_cast<std::size_t>(
-        std::max(1, active_.load(std::memory_order_seq_cst)));
-    Worker& target =
-        *workers_[round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                  active];
-    {
-      std::lock_guard<std::mutex> lock(target.inbox_mu);
-      target.inbox.push_back(n);
-      target.inbox_size.store(target.inbox.size(), std::memory_order_seq_cst);
-    }
-    wake_worker(target);
-  }
-  if (!moved.empty()) {
-    if (trace::enabled(kTraceCat)) {
-      static const std::uint16_t kName = trace::intern("forward_queues");
-      trace::emit(kTraceCat, kName, trace::Phase::kInstant,
-                  static_cast<std::uint64_t>(me.index), moved.size());
-    }
-    maybe_wake_sleeper();
-    note_activity();
   }
 }
 
@@ -431,24 +348,6 @@ void TaskScheduler::worker_loop(int w) {
     me.running.store(false, std::memory_order_seq_cst);
   };
   for (;;) {
-    // Deactivated (shrunk below this index): release queued work to the
-    // active prefix and park on the private eventcount.  The token/recheck
-    // order mirrors the normal park: a straggler submit_to (racing shrink)
-    // publishes its inbox entry before bumping wake, so either the recheck
-    // sees it or the wait returns immediately.  stop_ falls through to the
-    // normal loop so the shutdown drain semantics are unchanged.
-    while (w >= active_.load(std::memory_order_seq_cst) &&
-           !stop_.load(std::memory_order_acquire)) {
-      const std::uint32_t token = me.wake.load(std::memory_order_acquire);
-      forward_queues(me);
-      if (w < active_.load(std::memory_order_seq_cst) ||
-          stop_.load(std::memory_order_acquire))
-        break;
-      if (me.inbox_size.load(std::memory_order_seq_cst) != 0 ||
-          me.deque.maybe_nonempty())
-        continue;
-      me.wake.wait(token, std::memory_order_acquire);
-    }
     if (TaskNode* n = me.deque.pop_bottom()) {
       run(n);
       continue;

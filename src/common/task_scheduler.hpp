@@ -18,7 +18,11 @@
 //   * batch-cyclic fairness: a worker drains its inbox only when its deque
 //     is empty, so every task submitted in batch k runs before anything a
 //     batch-k task re-submitted via yield() -- N actors on one worker each
-//     make bounded progress per cycle.
+//     make bounded progress per cycle;
+//   * a fixed worker set: the count is chosen at construction and never
+//     changes, so submit_to(w) always routes to worker w % workers() and
+//     every worker is either running, stealing or parked in the one Dekker
+//     park protocol below.
 //
 // Two clients, two idioms:
 //   core::ChannelBank   fork-join: submit one chained tile task per channel
@@ -44,18 +48,10 @@ class TaskScheduler {
  public:
   using Task = std::function<void()>;
 
-  /// Elastic sizing.  The scheduler allocates (and spawns threads for)
-  /// max_workers slots up front; resize() flips how many are ACTIVE between
-  /// min_workers and max_workers at runtime.  A deactivated worker releases
-  /// its queues -- every queued node is forwarded to an active worker's
-  /// inbox -- and parks until reactivated, so shrink never strands work and
-  /// never blocks on a long-running task.  Parked threads cost one futex
-  /// wait each; the Chase-Lev arrays they retire stay owned by their deque
-  /// (the same retire path growth uses), so no reclamation race exists.
+  /// The worker count is fixed at construction, which spawns every worker
+  /// thread.
   struct Options {
-    int initial = 0;      ///< starting active count (0 = default_worker_count)
-    int min_workers = 1;  ///< resize() floor (clamped >= 1)
-    int max_workers = 0;  ///< slot count (0 = max(initial, min_workers))
+    int workers = 0;  ///< worker threads (0 = default_worker_count)
     /// Pin each worker thread to its round-robin NUMA node
     /// (topology::worker_node).  A no-op on single-node machines; workers
     /// record their node id for stats either way.
@@ -72,14 +68,12 @@ class TaskScheduler {
     std::uint64_t stolen = 0;    ///< tasks taken from another queue's top
     std::uint64_t wakeups = 0;   ///< targeted eventcount bumps issued
     std::uint64_t steal_failures = 0;  ///< full steal sweeps that found nothing
-    std::uint64_t resizes = 0;   ///< resize() calls that changed the count
   };
 
   /// Per-worker observability snapshot (approximate while work is in
-  /// flight): the queue depths the elastic policy feeds on, plus placement.
+  /// flight): queue depth, park state and placement.
   struct WorkerSnapshot {
     std::size_t queue_depth = 0;  ///< deque + inbox entries
-    bool active = false;
     bool sleeping = false;
     int node = 0;  ///< NUMA node this worker is assigned (and maybe pinned) to
   };
@@ -138,10 +132,9 @@ class TaskScheduler {
     std::shared_ptr<State> state_;
   };
 
-  /// Spawns max_workers persistent worker threads, `initial` of them active.
+  /// Spawns the persistent worker threads.
   explicit TaskScheduler(Options opts);
-  /// Fixed-size compatibility ctor: `threads` workers (clamped to >= 1),
-  /// min == max, so resize() is a no-op.  What ChannelBank wants.
+  /// `threads` workers (clamped to >= 1), no pinning.
   explicit TaskScheduler(int threads);
   /// Joins the workers.  Shutdown is a drain, not a drop: each worker
   /// finishes the tasks already visible in its queues before exiting (it
@@ -166,24 +159,10 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Currently ACTIVE worker count (the submit_to routing modulus).
-  [[nodiscard]] int workers() const {
-    return active_.load(std::memory_order_acquire);
-  }
-  /// Total worker slots (threads spawned); the resize() ceiling.
-  [[nodiscard]] int max_workers() const {
-    return static_cast<int>(workers_.size());
-  }
-  [[nodiscard]] int min_workers() const { return min_workers_; }
+  /// Worker count (the submit_to routing modulus).
+  [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Sets the active worker count, clamped to [min_workers, max_workers].
-  /// Returns the effective count.  Thread-safe; serialized against other
-  /// resize() calls.  Shrunk workers forward their queued work to the
-  /// remaining active workers and park; grown workers resume stealing
-  /// immediately.  Tasks already RUNNING on a shrunk worker finish there.
-  int resize(int n);
-
-  /// Approximate per-worker queue depths and placement for all slots
+  /// Approximate per-worker queue depths and placement for every worker
   /// (index order).  Lock-free reads; depths race benignly with execution.
   [[nodiscard]] std::vector<WorkerSnapshot> worker_snapshot() const;
 
@@ -220,7 +199,6 @@ class TaskScheduler {
     s.stolen = stolen_.load(std::memory_order_relaxed);
     s.wakeups = wakeups_.load(std::memory_order_relaxed);
     s.steal_failures = steal_failures_.load(std::memory_order_relaxed);
-    s.resizes = resizes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -257,7 +235,7 @@ class TaskScheduler {
       const std::size_t t = top_.load(std::memory_order_acquire);
       return static_cast<std::ptrdiff_t>(b - t) > 0;
     }
-    /// Racy-but-bounded entry count (stats / elastic policy input).
+    /// Racy-but-bounded entry count (worker_snapshot).
     [[nodiscard]] std::size_t size_approx() const {
       const std::size_t b = bottom_.load(std::memory_order_acquire);
       const std::size_t t = top_.load(std::memory_order_acquire);
@@ -318,17 +296,10 @@ class TaskScheduler {
   /// (a chain push, a drained batch) is not serialised on its owner.
   void maybe_wake_sleeper();
   [[nodiscard]] bool any_work_visible(const Worker& me) const;
-  /// Deactivated worker's release step: moves every node queued on `me`
-  /// (deque then inbox, order preserved per queue) to active workers'
-  /// inboxes with wakes.  Called only by me's own thread.
-  void forward_queues(Worker& me);
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<int> active_{1};
-  int min_workers_ = 1;
   bool pin_to_nodes_ = false;
   int preferred_node_ = -1;
-  std::mutex resize_mu_;  ///< serializes resize(); never held by workers
   std::atomic<std::uint32_t> round_robin_{0};
   std::atomic<bool> stop_{false};
   std::atomic<int> sleepers_{0};
@@ -342,7 +313,6 @@ class TaskScheduler {
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> steal_failures_{0};
-  std::atomic<std::uint64_t> resizes_{0};
 };
 
 }  // namespace twiddc::common

@@ -31,7 +31,7 @@ namespace twiddc::trace {
 
 /// Event categories; one bit each in the enable masks.
 enum class Category : std::uint8_t {
-  kSched = 0,   ///< TaskScheduler: steal, wakeup, resize, forward_queues
+  kSched = 0,   ///< TaskScheduler: steal, steal_inbox, wakeup
   kStream = 1,  ///< StreamEngine/Session: pump, service, retune, gap, fault
   kCache = 2,   ///< CompiledPlanCache: compile, hit/miss, eviction
   kGroup = 3,   ///< EngineGroup: migration eject/adopt

@@ -43,9 +43,7 @@ void ChannelBank::set_workers(int workers) {
   if (sched_ && sched_->workers() != pool_size) sched_.reset();
   if (!sched_ && pool_size > 0) {
     common::TaskScheduler::Options opts;
-    opts.initial = pool_size;
-    opts.min_workers = pool_size;
-    opts.max_workers = pool_size;
+    opts.workers = pool_size;
     // Spread the fork-join pool across NUMA nodes (a no-op on one-node
     // boxes): a stolen tile runs on the node its thief's deque lives on,
     // and the thief's scratch stays node-local.

@@ -1,8 +1,6 @@
 #include "src/core/plan_compiler.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <utility>
@@ -89,31 +87,7 @@ std::string plan_key(const ChainPlan& plan, bool structural) {
   return key;
 }
 
-/// Initial lowering policy from the environment ("mac" | "da" | anything
-/// else = auto); set_fir_lowering_policy overrides at runtime.
-FirLoweringPolicy policy_from_env() {
-  const char* e = std::getenv("TWIDDC_FIR_LOWERING");
-  if (e == nullptr) return FirLoweringPolicy::kAuto;
-  const std::string v(e);
-  if (v == "mac") return FirLoweringPolicy::kForceMac;
-  if (v == "da") return FirLoweringPolicy::kForceDa;
-  return FirLoweringPolicy::kAuto;
-}
-
-std::atomic<FirLoweringPolicy>& policy_cell() {
-  static std::atomic<FirLoweringPolicy> policy{policy_from_env()};
-  return policy;
-}
-
 }  // namespace
-
-FirLoweringPolicy fir_lowering_policy() {
-  return policy_cell().load(std::memory_order_relaxed);
-}
-
-void set_fir_lowering_policy(FirLoweringPolicy policy) {
-  policy_cell().store(policy, std::memory_order_relaxed);
-}
 
 // ------------------------------------------------------------------- TapSet
 
@@ -171,29 +145,6 @@ std::shared_ptr<const std::vector<std::int32_t>> CoeffPool::sine_table(
   auto made = std::make_shared<const std::vector<std::int32_t>>(
       dsp::make_quarter_sine_table(table_bits, amplitude_bits));
   tables_[key] = made;
-  return made;
-}
-
-std::shared_ptr<const std::vector<std::int64_t>> CoeffPool::da_tables(
-    const std::vector<std::int64_t>& rev_taps) {
-  std::string key(reinterpret_cast<const char*>(rev_taps.data()),
-                  rev_taps.size() * sizeof(std::int64_t));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.da_requests;
-  auto it = da_tables_.find(key);
-  if (it != da_tables_.end()) {
-    if (auto held = it->second.lock()) {
-      ++stats_.da_hits;
-      return held;
-    }
-  }
-  auto made = std::make_shared<const std::vector<std::int64_t>>(
-      dsp::DaFirEngine::build_tables(rev_taps));
-  da_tables_[std::move(key)] = made;
-  if (da_tables_.size() > 256) {
-    for (auto e = da_tables_.begin(); e != da_tables_.end();)
-      e = e->second.expired() ? da_tables_.erase(e) : std::next(e);
-  }
   return made;
 }
 
@@ -264,33 +215,6 @@ CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
       stage_taps_.push_back(CoeffPool::instance().taps(st.taps));
     else
       stage_taps_.push_back(nullptr);
-  }
-
-  // DA-lowering metadata: track the sample width entering each stage through
-  // the conditioning chain, run the cost model on every FIR stage, and build
-  // (deduplicated) partial-sum tables for the eligible ones so a ForceDa
-  // policy never has to compile at execution time.
-  int width = plan_.front_end.mixer_out_bits;
-  for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
-    const StageSpec& st = plan_.stages[i];
-    stage_input_bits_.push_back(width);
-    dsp::DaFirEngine::Cost cost;
-    std::shared_ptr<const std::vector<std::int64_t>> tables;
-    if (stage_taps_[i] != nullptr && width > 0) {
-      cost = dsp::DaFirEngine::cost(st.taps.size(), width);
-      if (cost.eligible)
-        tables = CoeffPool::instance().da_tables(stage_taps_[i]->reversed);
-    }
-    stage_da_cost_.push_back(cost);
-    stage_da_tables_.push_back(std::move(tables));
-    stage_lowering_.push_back(cost.auto_wins ? FirLowering::kDa : FirLowering::kMac);
-    // Output width: a narrowing stage pins it; a passthrough preserves it;
-    // anything else widens by an amount the plan does not bound, so the
-    // width becomes unknown (0) and downstream FIR stages are DA-ineligible.
-    if (st.narrow_bits != 0)
-      width = st.narrow_bits;
-    else if (st.kind != StageSpec::Kind::kPassthrough)
-      width = 0;
   }
 }
 
@@ -421,18 +345,6 @@ void FusedChainExec::build_stages() {
       const std::size_t hist = st.taps->forward.size() - 1;
       st.tail[0].assign(hist, 0);
       st.tail[1].assign(hist, 0);
-      // Lowering selection: the compiled plan's cost-model decision under
-      // kAuto, overridden by the process-wide force modes.  kForceDa on a
-      // DA-ineligible stage (no tables) stays MAC.
-      const FirLoweringPolicy policy = fir_lowering_policy();
-      const bool want_da =
-          policy == FirLoweringPolicy::kForceDa ||
-          (policy == FirLoweringPolicy::kAuto &&
-           plan_->stage_lowering()[i] == FirLowering::kDa);
-      if (want_da && plan_->stage_da_tables()[i] != nullptr)
-        st.da = std::make_unique<dsp::DaFirEngine>(plan_->stage_da_tables()[i],
-                                                   st.taps->forward.size(),
-                                                   plan_->stage_input_bits()[i]);
     }
     stages_.push_back(std::move(st));
   }
@@ -463,26 +375,9 @@ void FusedChainExec::splice(std::shared_ptr<const CompiledPlan> next) {
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const StageSpec& spec = next->plan().stages[i];
     stages_[i].req = Conditioning{spec.post_shift, spec.narrow_bits, spec.rounding};
-    if (stages_[i].taps) {
-      stages_[i].taps = next->stage_taps()[i];
-      // DA tables are functions of the taps, and conditioning changes can
-      // move the stage's input width -- rebuild (or drop) the engine against
-      // the new plan's metadata.
-      if (stages_[i].da) {
-        stages_[i].da =
-            next->stage_da_tables()[i] != nullptr
-                ? std::make_unique<dsp::DaFirEngine>(
-                      next->stage_da_tables()[i],
-                      stages_[i].taps->forward.size(), next->stage_input_bits()[i])
-                : nullptr;
-      }
-    }
+    if (stages_[i].taps) stages_[i].taps = next->stage_taps()[i];
   }
   plan_ = std::move(next);
-}
-
-FirLowering FusedChainExec::active_lowering(std::size_t s) const {
-  return stages_.at(s).da ? FirLowering::kDa : FirLowering::kMac;
 }
 
 void FusedChainExec::run_stage(StageState& st, int rail,
@@ -524,25 +419,12 @@ void FusedChainExec::run_stage(StageState& st, int rail,
       window_.insert(window_.end(), in.begin(), in.end());
       const bool narrow_ok =
           taps.fits_i32 && simd::all_fit_i32(window_.data(), window_.size());
-      // DA lowering engages per tile: only when every window sample fits the
-      // engine's width is the bit-serial evaluation defined, and there it is
-      // exact mod 2^64 -- out-of-range tiles silently take the MAC dots, so
-      // the stage output never depends on the lowering.
-      bool use_da = false;
-      if (st.da && !window_.empty()) {
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        simd::minmax_i64(window_.data(), window_.size(), lo, hi);
-        use_da = st.da->fits(lo, hi);
-      }
       const int d = st.decimation;
       // Input j produces an output when fir_phase + j + 1 is a multiple of d.
       for (std::size_t j = static_cast<std::size_t>(d - 1 - st.fir_phase);
            j < in.size(); j += static_cast<std::size_t>(d))
-        out.push_back(apply(use_da
-                                ? st.da->dot(window_.data() + j)
-                                : simd::dot_i64(taps.reversed.data(),
-                                                window_.data() + j, n, narrow_ok)));
+        out.push_back(apply(simd::dot_i64(taps.reversed.data(), window_.data() + j, n,
+                                          narrow_ok)));
       if (tail.size() > 0)
         tail.assign(window_.end() - static_cast<std::ptrdiff_t>(tail.size()),
                     window_.end());

@@ -48,27 +48,8 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/dsp/cic.hpp"
-#include "src/dsp/da_fir.hpp"
 
 namespace twiddc::core {
-
-// ------------------------------------------------------------- FIR lowering
-
-/// How a FIR stage's dot products are realised by the fused executor:
-/// classic multiply-accumulate, or distributed arithmetic (bit-serial LUT
-/// lookups, dsp::DaFirEngine).  Both are bit-exact; they model different
-/// hardware (multiplier blocks vs LUT fabric).
-enum class FirLowering { kMac, kDa };
-
-/// Process-wide lowering policy.  kAuto follows the per-stage cost model
-/// baked into each CompiledPlan; the force modes override it (kForceDa still
-/// falls back to MAC for DA-ineligible stages: unknown input width, width
-/// beyond DaFirEngine::kMaxInputBits).  Initialised from the
-/// TWIDDC_FIR_LOWERING environment variable ("auto" | "mac" | "da").
-enum class FirLoweringPolicy { kAuto, kForceMac, kForceDa };
-
-FirLoweringPolicy fir_lowering_policy();
-void set_fir_lowering_policy(FirLoweringPolicy policy);
 
 // -------------------------------------------------------------- shared data
 
@@ -95,19 +76,12 @@ class CoeffPool {
   std::shared_ptr<const TapSet> taps(const std::vector<std::int64_t>& taps);
   std::shared_ptr<const std::vector<std::int32_t>> sine_table(int table_bits,
                                                               int amplitude_bits);
-  /// Deduplicated DA partial-sum tables (dsp::DaFirEngine::build_tables) for
-  /// a reversed tap set.  Tables depend only on the tap values, so every
-  /// plan/session DA-lowering the same coefficients shares one copy.
-  std::shared_ptr<const std::vector<std::int64_t>> da_tables(
-      const std::vector<std::int64_t>& rev_taps);
 
   struct Stats {
     std::uint64_t tap_requests = 0;
     std::uint64_t tap_hits = 0;
     std::uint64_t table_requests = 0;
     std::uint64_t table_hits = 0;
-    std::uint64_t da_requests = 0;
-    std::uint64_t da_hits = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -118,8 +92,6 @@ class CoeffPool {
   std::unordered_map<std::string, std::weak_ptr<const TapSet>> taps_;
   std::unordered_map<std::uint64_t, std::weak_ptr<const std::vector<std::int32_t>>>
       tables_;
-  std::unordered_map<std::string, std::weak_ptr<const std::vector<std::int64_t>>>
-      da_tables_;
   Stats stats_;
 };
 
@@ -166,31 +138,6 @@ class CompiledPlan {
   }
   [[nodiscard]] int total_decimation() const { return plan_.total_decimation(); }
 
-  /// Two's-complement width of the samples entering each stage, tracked
-  /// through the conditioning chain from the mixer bus width (0 = unknown:
-  /// a preceding stage widens without narrowing, which makes DA ineligible).
-  [[nodiscard]] const std::vector<int>& stage_input_bits() const {
-    return stage_input_bits_;
-  }
-  /// The pure kAuto lowering decision per stage (kMac for non-FIR stages).
-  /// The compiled artifact is shared across sessions, so it stores the
-  /// policy-independent cost-model outcome; FusedChainExec applies the
-  /// process-wide policy on top when it builds its stage states.
-  [[nodiscard]] const std::vector<FirLowering>& stage_lowering() const {
-    return stage_lowering_;
-  }
-  /// Per-stage DA cost-model outputs (all-default for non-FIR stages) --
-  /// the energy layer's multiplier-vs-LUT report reads these.
-  [[nodiscard]] const std::vector<dsp::DaFirEngine::Cost>& stage_da_cost() const {
-    return stage_da_cost_;
-  }
-  /// Shared DA partial-sum tables per DA-eligible FIR stage (null
-  /// otherwise), deduplicated through CoeffPool.
-  [[nodiscard]] const std::vector<std::shared_ptr<const std::vector<std::int64_t>>>&
-  stage_da_tables() const {
-    return stage_da_tables_;
-  }
-
  private:
   ChainPlan plan_;
   std::string canonical_key_;
@@ -198,10 +145,6 @@ class CompiledPlan {
   std::uint32_t tuning_word_ = 0;
   std::shared_ptr<const std::vector<std::int32_t>> sine_table_;
   std::vector<std::shared_ptr<const TapSet>> stage_taps_;
-  std::vector<int> stage_input_bits_;
-  std::vector<FirLowering> stage_lowering_;
-  std::vector<dsp::DaFirEngine::Cost> stage_da_cost_;
-  std::vector<std::shared_ptr<const std::vector<std::int64_t>>> stage_da_tables_;
 };
 
 // -------------------------------------------------------- CompiledPlanCache
@@ -281,11 +224,6 @@ class FusedChainExec {
     return plan_;
   }
 
-  /// The lowering this executor actually built for stage `s` (the compiled
-  /// plan's kAuto decision combined with the process-wide policy at
-  /// construction/splice time).  kMac for non-FIR stages.
-  [[nodiscard]] FirLowering active_lowering(std::size_t s) const;
-
  private:
   struct Conditioning {
     int shift = 0;
@@ -303,10 +241,6 @@ class FusedChainExec {
     std::shared_ptr<const TapSet> taps;
     std::vector<std::int64_t> tail[2];  // last (taps-1) inputs, zero-seeded
     int fir_phase = 0;                  // inputs since last output, in [0, D)
-    // DA lowering: the bit-serial evaluator over shared tables, engaged per
-    // tile only when every window sample fits its width (MAC fallback keeps
-    // the stage unconditionally bit-exact).
-    std::unique_ptr<dsp::DaFirEngine> da;
   };
 
   void build_stages();

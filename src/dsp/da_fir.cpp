@@ -88,12 +88,6 @@ DaFirEngine::Cost DaFirEngine::cost(std::size_t ntaps, int input_bits) {
   c.table_entries = c.slices * kTableEntries;
   if (input_bits >= 1)
     c.lookups_per_output = static_cast<std::size_t>(input_bits) * c.slices;
-  // Throughput proxy for the kAuto policy: DA does W*ceil(K/4) table reads
-  // where MAC does K multiplies.  Narrow datapaths (W <~ 4) with long tap
-  // sets win; the 16-bit Figure 1 chain deliberately does not -- there DA is
-  // chosen only by explicit policy, for the multiplier-vs-LUT energy trade
-  // the hardware scenarios report.
-  c.auto_wins = c.eligible && c.lookups_per_output < c.macs_per_output;
   return c;
 }
 

@@ -10,12 +10,12 @@
 // ceil(K/4) LUT tables plus an adder tree, at W clocks per output (direction
 // from the serial DA literature, e.g. arXiv:1403.4554).
 //
-// In this simulator the engine is an exact software model: dot() is bit-exact
-// (mod 2^64) with the MAC dot product whenever every window sample fits the
-// engine's input width, which callers verify per tile via fits() -- so a
-// DA-lowered stage can always fall back to MAC without changing a single
-// output bit.  Tables depend only on the tap values, never on the input
-// width, and are deduplicated process-wide through core::CoeffPool.
+// In this simulator the engine is an exact software model of that datapath:
+// dot() is bit-exact (mod 2^64) with the MAC dot product whenever every
+// window sample fits the engine's input width (fits()).  That is what lets
+// energy::plan_fir_costs price the LUT realisation of a FIR stage as
+// computing the same outputs; no host executor runs it.  Tables depend only
+// on the tap values, never on the input width.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +52,8 @@ class DaFirEngine {
   /// sample fits input_bits().
   [[nodiscard]] std::int64_t dot(const std::int64_t* win) const;
 
-  /// True when every sample in [lo, hi] fits input_bits() -- the per-tile
-  /// guard that makes DA lowering unconditionally bit-exact (out-of-range
-  /// tiles take the MAC path instead).
+  /// True when every sample in [lo, hi] fits input_bits() -- the range over
+  /// which dot() equals the MAC dot.
   [[nodiscard]] bool fits(std::int64_t lo, std::int64_t hi) const;
 
   [[nodiscard]] std::size_t ntaps() const { return ntaps_; }
@@ -65,15 +64,14 @@ class DaFirEngine {
     return tables_;
   }
 
-  /// The DA-vs-MAC cost model (shared by the plan compiler's lowering
-  /// selection and the energy layer's multiplier-vs-LUT report).
+  /// The DA-vs-MAC operation counts behind the energy layer's
+  /// multiplier-vs-LUT report (energy::da_fir_cost).
   struct Cost {
     bool eligible = false;            ///< width in range, taps present
     std::size_t slices = 0;           ///< ceil(K / 4) LUT tables
     std::size_t table_entries = 0;    ///< 16 * slices int64 entries
     std::size_t lookups_per_output = 0;  ///< W * slices table reads
     std::size_t macs_per_output = 0;     ///< K multiplies (the MAC cost)
-    bool auto_wins = false;  ///< cost model picks DA under kAuto lowering
   };
   static Cost cost(std::size_t ntaps, int input_bits);
 

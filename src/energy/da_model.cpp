@@ -32,9 +32,10 @@ FirImplCost da_fir_cost(const std::string& stage_label, std::size_t taps,
 std::vector<FirImplCost> plan_fir_costs(const core::ChainPlan& plan,
                                         const DaEnergyParams& params) {
   std::vector<FirImplCost> costs;
-  // Width tracking mirrors CompiledPlan::stage_input_bits: the mixer bus
-  // width flows through, narrowing stages pin it, non-narrowing non-trivial
-  // stages lose it.
+  // The mixer bus width flows through, narrowing stages pin it, and
+  // non-narrowing non-trivial stages widen by an amount the plan does not
+  // bound, so the width becomes unknown (0) and downstream FIR stages are
+  // DA-ineligible.
   int width = plan.front_end.mixer_out_bits;
   for (const core::StageSpec& st : plan.stages) {
     if (st.kind == core::StageSpec::Kind::kFirDecimator ||

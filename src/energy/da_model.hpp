@@ -1,4 +1,4 @@
-// twiddc::energy -- the multiplier-vs-LUT trade of DA-lowered FIR stages.
+// twiddc::energy -- the multiplier-vs-LUT trade of FIR stages in hardware.
 //
 // A MAC FIR spends K hardware multipliers (or K multiply ops per output on a
 // sequential datapath); a distributed-arithmetic FIR spends zero multipliers
@@ -6,9 +6,10 @@
 // (W = input width).  On FPGA fabric that converts scarce DSP blocks into
 // abundant LUTs; on an ASIC it converts multiplier area into ROM bits.  This
 // model quantifies both realisations per FIR stage of a plan so the
-// scenario layer can report what a DA lowering buys (or costs) a given
-// deployment -- the numbers mirror the cost model the plan compiler's kAuto
-// lowering uses (dsp::DaFirEngine::cost).
+// scenario layer can report what a DA datapath buys (or costs) a given
+// deployment.  The operation counts come from dsp::DaFirEngine::cost, and
+// dsp::DaFirEngine is the bit-exact model of the DA datapath being priced.
+// The host executors always run the MAC dot.
 #pragma once
 
 #include <string>
@@ -56,10 +57,11 @@ FirImplCost da_fir_cost(const std::string& stage_label, std::size_t taps,
                         int input_bits, const DaEnergyParams& params = {});
 
 /// One FirImplCost per FIR stage of `plan`, with each stage's input width
-/// tracked through the conditioning chain exactly as the plan compiler does
-/// (CompiledPlan::stage_input_bits).  Non-FIR stages are skipped.  This is
-/// the hook the FPGA/ASIC scenario reports use to attach the
-/// multiplier-vs-LUT trade to a concrete topology.
+/// tracked through the conditioning chain from the mixer bus width: a
+/// narrowing stage pins it, a passthrough preserves it, and any other stage
+/// makes it unknown.  Non-FIR stages are skipped.  This is the hook the
+/// FPGA/ASIC scenario reports use to attach the multiplier-vs-LUT trade to a
+/// concrete topology.
 std::vector<FirImplCost> plan_fir_costs(const core::ChainPlan& plan,
                                         const DaEnergyParams& params = {});
 

@@ -26,8 +26,6 @@ struct TraceNames {
   std::uint16_t service = trace::intern("service");
   std::uint16_t gap = trace::intern("gap");
   std::uint16_t shed = trace::intern("shed");
-  std::uint16_t elastic_grow = trace::intern("elastic_grow");
-  std::uint16_t elastic_shrink = trace::intern("elastic_shrink");
   std::uint16_t eject = trace::intern("eject");
   std::uint16_t adopt = trace::intern("adopt");
 };
@@ -46,14 +44,6 @@ StreamEngine::StreamEngine(std::unique_ptr<Source> source, EngineOptions options
   if (!source_) throw ConfigError("StreamEngine: needs a source");
   // workers <= 0 means auto: TWIDDC_WORKERS env, else hardware concurrency.
   if (options_.workers <= 0) options_.workers = common::default_worker_count();
-  options_.min_workers = std::clamp(options_.min_workers, 1, options_.workers);
-  options_.max_workers = options_.max_workers <= 0
-                             ? options_.workers
-                             : std::max(options_.max_workers, options_.workers);
-  options_.elastic_grow_depth = std::max(0.0, options_.elastic_grow_depth);
-  options_.elastic_shrink_depth = std::clamp(options_.elastic_shrink_depth, 0.0,
-                                             options_.elastic_grow_depth);
-  options_.elastic_hysteresis_ticks = std::max(1, options_.elastic_hysteresis_ticks);
   options_.block_samples = std::max<std::size_t>(1, options_.block_samples);
   options_.session_queue_blocks = std::max<std::size_t>(2, options_.session_queue_blocks);
   options_.session_output_chunks =
@@ -123,11 +113,7 @@ void StreamEngine::start() {
   if (running_.load(std::memory_order_acquire))
     throw SimulationError("StreamEngine: start() while already running");
   common::TaskScheduler::Options sched_opts;
-  sched_opts.initial = options_.workers;
-  sched_opts.min_workers = options_.min_workers;
-  // Without elastic mode the slot count equals the active count, so
-  // resize() headroom (and its parked threads) costs nothing.
-  sched_opts.max_workers = options_.elastic ? options_.max_workers : options_.workers;
+  sched_opts.workers = options_.workers;
   sched_opts.pin_to_nodes = options_.pin_to_nodes;
   sched_opts.preferred_node = options_.preferred_node;
   sched_ = std::make_unique<common::TaskScheduler>(sched_opts);
@@ -249,31 +235,6 @@ bool StreamEngine::finished(const Session& session) const {
 std::size_t StreamEngine::session_count() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   return sessions_.size();
-}
-
-int StreamEngine::set_workers(int n) {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  n = std::max(1, n);
-  if (sched_) {
-    n = sched_->resize(n);  // clamped to the live scheduler's bounds
-    repin_homes(n);
-  }
-  options_.workers = n;
-  return n;
-}
-
-int StreamEngine::effective_workers() const {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  return sched_ ? sched_->workers() : options_.workers;
-}
-
-void StreamEngine::repin_homes(int active) {
-  if (active <= 0) return;
-  for (const auto& s : snapshot()) {
-    const int home = s->home_.load(std::memory_order_acquire);
-    if (home >= active)
-      s->home_.store(home % active, std::memory_order_release);
-  }
 }
 
 std::vector<std::shared_ptr<Session>> StreamEngine::snapshot() const {
@@ -1053,67 +1014,6 @@ void StreamEngine::watchdog_loop() {
         if (!shed_one(sessions)) break;
       }
     }
-
-    // 4. Elastic worker policy: one step per hysteresis window, driven by
-    //    aggregate queue depth (and the pump-stall signal, which means the
-    //    current worker set cannot keep up regardless of averages).
-    if (options_.elastic) elastic_tick(sessions);
-  }
-}
-
-void StreamEngine::elastic_tick(
-    const std::vector<std::shared_ptr<Session>>& sessions) {
-  // Watchdog-thread only: the streak counters are plain ints.  sched_ is
-  // safe to touch here -- stop() joins this thread before tearing it down.
-  std::size_t queued = 0;
-  for (const auto& s : sessions) {
-    if (s->closed()) continue;
-    const auto h = s->health();
-    if (h == SessionHealth::kQuarantined || h == SessionHealth::kFaulted)
-      continue;
-    queued += s->in_ring_.size();
-  }
-  const int active = sched_->workers();
-  const double per_worker =
-      static_cast<double>(queued) / static_cast<double>(std::max(1, active));
-  const bool pump_stalled =
-      pump_stalled_on_.load(std::memory_order_acquire) != 0;
-  const bool want_grow =
-      active < sched_->max_workers() &&
-      (per_worker >= options_.elastic_grow_depth || pump_stalled);
-  const bool want_shrink = active > sched_->min_workers() &&
-                           per_worker <= options_.elastic_shrink_depth &&
-                           !pump_stalled;
-  if (want_grow) {
-    elastic_shrink_streak_ = 0;
-    if (++elastic_grow_streak_ >= options_.elastic_hysteresis_ticks) {
-      elastic_grow_streak_ = 0;
-      const int n = sched_->resize(active + 1);
-      if (n != active) {
-        grow_events_.fetch_add(1, std::memory_order_relaxed);
-        trace::instant(kStreamCat, tn().elastic_grow,
-                       static_cast<std::uint64_t>(active),
-                       static_cast<std::uint64_t>(n));
-      }
-    }
-  } else if (want_shrink) {
-    elastic_grow_streak_ = 0;
-    if (++elastic_shrink_streak_ >= options_.elastic_hysteresis_ticks) {
-      elastic_shrink_streak_ = 0;
-      const int n = sched_->resize(active - 1);
-      if (n != active) {
-        shrink_events_.fetch_add(1, std::memory_order_relaxed);
-        trace::instant(kStreamCat, tn().elastic_shrink,
-                       static_cast<std::uint64_t>(active),
-                       static_cast<std::uint64_t>(n));
-        // Sessions homed on the parked worker re-pin onto the active set
-        // (their queued tasks were already forwarded by the worker itself).
-        repin_homes(n);
-      }
-    }
-  } else {
-    elastic_grow_streak_ = 0;
-    elastic_shrink_streak_ = 0;
   }
 }
 
@@ -1127,8 +1027,6 @@ FaultInfo StreamEngine::source_fault() const {
 std::string StreamEngine::stats_json() const {
   double elapsed = streamed_elapsed_s_.load(std::memory_order_relaxed);
   common::TaskScheduler::Stats sched_stats;
-  int workers_active = 0;
-  int workers_max = 0;
   std::vector<common::TaskScheduler::WorkerSnapshot> wsnap;
   {
     // run_start_time_ is rewritten by every start() now that the engine is
@@ -1140,14 +1038,11 @@ std::string StreamEngine::stats_json() const {
                                                run_start_time_)
                      .count();
     sched_stats = sched_ ? sched_->stats() : sched_stats_;
-    workers_active = sched_ ? sched_->workers() : options_.workers;
-    workers_max = sched_ ? sched_->max_workers() : options_.max_workers;
     if (sched_) wsnap = sched_->worker_snapshot();
   }
   JsonLine engine_line;
   engine_line.field("sessions", session_count())
-      .field("workers", static_cast<std::size_t>(workers_active))
-      .field("workers_max", static_cast<std::size_t>(workers_max))
+      .field("workers", static_cast<std::size_t>(options_.workers))
       .field("numa_nodes", common::topology::probe().node_count())
       .field("block_samples", options_.block_samples)
       .field("quantum_blocks", options_.session_quantum_blocks)
@@ -1158,11 +1053,6 @@ std::string StreamEngine::stats_json() const {
       .field("tasks_executed", static_cast<std::size_t>(sched_stats.executed))
       .field("tasks_stolen", static_cast<std::size_t>(sched_stats.stolen))
       .field("steal_failures", static_cast<std::size_t>(sched_stats.steal_failures))
-      .field("sched_resizes", static_cast<std::size_t>(sched_stats.resizes))
-      .field("grow_events",
-             static_cast<std::size_t>(grow_events_.load(std::memory_order_relaxed)))
-      .field("shrink_events",
-             static_cast<std::size_t>(shrink_events_.load(std::memory_order_relaxed)))
       .field("migrations_in",
              static_cast<std::size_t>(migrations_in_.load(std::memory_order_relaxed)))
       .field("targeted_wakeups", static_cast<std::size_t>(sched_stats.wakeups));
@@ -1216,7 +1106,7 @@ std::string StreamEngine::stats_json() const {
       .field("entries", cache.entries)
       .field("capacity", cache.capacity);
   // Per-worker detail rides as its own array (one object per scheduler
-  // slot, active or parked): queue depth feeds the elastic policy, node
+  // worker): queue depth and park state show where work is waiting, node
   // shows the NUMA placement that pinning chose.
   std::vector<JsonLine> workers_detail;
   workers_detail.reserve(wsnap.size());
@@ -1224,7 +1114,6 @@ std::string StreamEngine::stats_json() const {
     JsonLine w;
     w.field("worker", i)
         .field("queue_depth", wsnap[i].queue_depth)
-        .field("active", wsnap[i].active)
         .field("sleeping", wsnap[i].sleeping)
         .field("node", static_cast<double>(wsnap[i].node));
     workers_detail.push_back(std::move(w));

@@ -51,28 +51,9 @@ namespace twiddc::stream {
 struct EngineOptions {
   /// Worker threads.  <= 0 resolves at construction to
   /// common::default_worker_count() -- the TWIDDC_WORKERS environment
-  /// variable when set, hardware_concurrency otherwise.  Adjustable at
-  /// runtime via StreamEngine::set_workers (within [min_workers,
-  /// max_workers] while running).
+  /// variable when set, hardware_concurrency otherwise.  Fixed for the
+  /// engine's lifetime: every start() spawns exactly this many workers.
   int workers = 0;
-  /// Elastic bounds.  min_workers floors the shrink; max_workers caps the
-  /// grow (0 = same as workers: no headroom, resize is a no-op).  Worker
-  /// threads for max_workers slots are spawned at start(); only the active
-  /// count changes at runtime.
-  int min_workers = 1;
-  int max_workers = 0;
-  /// Let the watchdog grow/shrink the active worker count from the
-  /// queue-depth and pump-stall signals below.  Off by default: capacity
-  /// changes are surprising in benchmarks unless asked for.
-  bool elastic = false;
-  /// Grow when mean queued input blocks per ACTIVE worker stays >= this
-  /// (or the pump is parked on a full ring) for elastic_hysteresis_ticks
-  /// consecutive watchdog ticks; shrink when it stays <= the shrink
-  /// threshold as long.  One step per decision, so capacity ramps, never
-  /// jumps.
-  double elastic_grow_depth = 2.0;
-  double elastic_shrink_depth = 0.25;
-  int elastic_hysteresis_ticks = 4;
   /// Pin worker threads to their NUMA nodes and bind new sessions' rings
   /// node-local (no-ops on single-node machines).
   bool pin_to_nodes = false;
@@ -160,25 +141,9 @@ class StreamEngine {
   [[nodiscard]] std::uint64_t blocks_pumped() const {
     return blocks_pumped_.load(std::memory_order_acquire);
   }
+  /// The clamped options; options().workers is the resolved worker count.
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
-  /// Requests `n` active workers.  While running the change applies
-  /// immediately, clamped to the live scheduler's [min_workers,
-  /// max_workers]; stopped, it becomes the next start()'s initial count.
-  /// Returns the effective value.  Sessions homed on shrunk workers are
-  /// re-pinned onto the remaining active set.
-  int set_workers(int n);
-  /// Active worker count right now (the live scheduler's, or the
-  /// configured count while stopped).
-  [[nodiscard]] int effective_workers() const;
-
-  /// Elastic-policy counters (watchdog grow/shrink decisions that took).
-  [[nodiscard]] std::uint64_t grow_events() const {
-    return grow_events_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t shrink_events() const {
-    return shrink_events_.load(std::memory_order_relaxed);
-  }
   /// Sessions this engine adopt()ed over its lifetime.
   [[nodiscard]] std::uint64_t migrations_in() const {
     return migrations_in_.load(std::memory_order_relaxed);
@@ -283,12 +248,6 @@ class StreamEngine {
   /// Discards `session`'s queued input (watchdog thread; ring pops are
   /// MPMC-safe against the worker).  Returns the blocks discarded.
   std::uint64_t shed_backlog(Session& session);
-  /// The watchdog's elastic pass: one grow/shrink step per decision, with
-  /// consecutive-tick hysteresis on the queue-depth / pump-stall signals.
-  void elastic_tick(const std::vector<std::shared_ptr<Session>>& sessions);
-  /// Re-pins sessions homed on workers >= `active` back into the active
-  /// set (shrink follow-up; the pin is advisory, so lazy is fine).
-  void repin_homes(int active);
   /// Binds a new session's rings node-local when placement is on.
   void place_session(Session& session) const;
   /// Returns false only when stop() aborted a kBlock wait mid-push: the
@@ -368,14 +327,7 @@ class StreamEngine {
   std::atomic<std::uint64_t> shed_events_{0};
   std::atomic<std::uint64_t> shed_blocks_{0};
   std::atomic<std::uint64_t> shed_samples_{0};
-
-  // Elastic-policy state.  The counters are shared; the streaks are
-  // watchdog-thread-only.
-  std::atomic<std::uint64_t> grow_events_{0};
-  std::atomic<std::uint64_t> shrink_events_{0};
   std::atomic<std::uint64_t> migrations_in_{0};
-  int elastic_grow_streak_ = 0;
-  int elastic_shrink_streak_ = 0;
 
   /// Pump kBlock-wait publication for the watchdog's pump-stall shed
   /// trigger: the session id + 1 the pump is parked on (0 = not parked) and

@@ -162,7 +162,7 @@ std::string EngineGroup::stats_json() const {
   std::uint64_t pumped = 0;
   for (const auto& shard : shards_) {
     sessions += shard->session_count();
-    workers += static_cast<std::size_t>(shard->effective_workers());
+    workers += static_cast<std::size_t>(shard->options().workers);
     pumped += shard->blocks_pumped();
   }
   JsonLine group_line;

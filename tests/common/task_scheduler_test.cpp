@@ -220,101 +220,22 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
 
 TEST(TaskScheduler, OptionsClampBoundsAndCompatCtorIsFixedSize) {
   TaskScheduler::Options opts;
-  opts.initial = 2;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
+  opts.workers = 2;
   TaskScheduler sched(opts);
   EXPECT_EQ(sched.workers(), 2);
-  EXPECT_EQ(sched.min_workers(), 1);
-  EXPECT_EQ(sched.max_workers(), 4);
-  EXPECT_EQ(sched.resize(99), 4);   // clamped to max
-  EXPECT_EQ(sched.resize(0), 1);    // clamped to min
-  EXPECT_GE(sched.stats().resizes, 2u);
 
   TaskScheduler fixed(3);
   EXPECT_EQ(fixed.workers(), 3);
-  EXPECT_EQ(fixed.max_workers(), 3);
-  EXPECT_EQ(fixed.resize(1), 3);  // min == max: resize is a no-op
-}
-
-TEST(TaskScheduler, ElasticResizeGrowShrinkUnderLoad) {
-  // Grow and shrink repeatedly while 2 client threads keep the queues fed:
-  // every task must still run exactly once -- forwarding on deactivation
-  // loses nothing, and tasks routed to a worker mid-shrink still execute.
-  TaskScheduler::Options opts;
-  opts.initial = 1;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
-  TaskScheduler sched(opts);
-  TaskScheduler::Group group;
-  constexpr int kProducers = 2;
-  constexpr int kPerProducer = 800;
-  std::atomic<int> ran{0};
-  group.expect(kProducers * kPerProducer);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        auto task = [&ran, group] {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          group.complete();
-        };
-        // Target the full slot range: submit_to mods by the ACTIVE count,
-        // so shrink races must land tasks on live workers regardless.
-        sched.submit_to((p + i) % 4, task);
-        if (i % 50 == 25) sched.resize(1 + (i / 50) % 4);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  sched.wait(group);
-  group.rethrow_if_error();
-  EXPECT_EQ(ran.load(), kProducers * kPerProducer);
-  EXPECT_GE(sched.stats().resizes, 1u);
-}
-
-TEST(TaskScheduler, ShrinkDuringForkJoinWaitStillCompletes) {
-  // The external waiter must see completion even when the worker holding
-  // the last tasks is deactivated mid-wait (its deque forwards to the
-  // surviving active prefix).
-  TaskScheduler::Options opts;
-  opts.initial = 3;
-  opts.min_workers = 1;
-  opts.max_workers = 3;
-  TaskScheduler sched(opts);
-  TaskScheduler::Group group;
-  constexpr int kTasks = 300;
-  std::atomic<int> ran{0};
-  group.expect(kTasks);
-  for (int i = 0; i < kTasks; ++i)
-    sched.submit_to(i % 3, [&ran, group] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      group.complete();
-    });
-  std::thread shrinker([&sched] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    sched.resize(1);
-  });
-  sched.wait(group);
-  group.rethrow_if_error();
-  shrinker.join();
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(sched.workers(), 1);
+  TaskScheduler floor(0);  // clamped to one worker
+  EXPECT_EQ(floor.workers(), 1);
 }
 
 TEST(TaskScheduler, WorkerSnapshotCoversEverySlot) {
   TaskScheduler::Options opts;
-  opts.initial = 2;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
+  opts.workers = 4;
   TaskScheduler sched(opts);
   const auto snap = sched.worker_snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  EXPECT_TRUE(snap[0].active);
-  EXPECT_TRUE(snap[1].active);
-  EXPECT_FALSE(snap[2].active);
-  EXPECT_FALSE(snap[3].active);
   for (const auto& w : snap) EXPECT_GE(w.node, 0);
 }
 

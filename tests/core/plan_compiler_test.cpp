@@ -376,181 +376,5 @@ TEST(FusedChainExec, SpliceRejectsStructuralChanges) {
   EXPECT_THROW(fused.splice(incompatible), ConfigError);
 }
 
-// ------------------------------------------------------------- DA lowering
-
-/// Restores the process-wide FIR lowering policy on scope exit (it is
-/// shared with every other test in this binary).
-class ScopedLoweringPolicy {
- public:
-  explicit ScopedLoweringPolicy(FirLoweringPolicy p) : prev_(fir_lowering_policy()) {
-    set_fir_lowering_policy(p);
-  }
-  ~ScopedLoweringPolicy() { set_fir_lowering_policy(prev_); }
-  ScopedLoweringPolicy(const ScopedLoweringPolicy&) = delete;
-  ScopedLoweringPolicy& operator=(const ScopedLoweringPolicy&) = delete;
-
- private:
-  FirLoweringPolicy prev_;
-};
-
-bool is_fir(const StageSpec& st) {
-  return st.kind == StageSpec::Kind::kFirDecimator ||
-         st.kind == StageSpec::Kind::kPolyphaseFir;
-}
-
-TEST(DaLowering, CompiledPlanTracksWidthsCostsAndTables) {
-  const auto compiled =
-      CompiledPlanCache::instance().get_or_compile(reference_plan());
-  const auto& stages = compiled->plan().stages;
-  ASSERT_EQ(compiled->stage_input_bits().size(), stages.size());
-  ASSERT_EQ(compiled->stage_lowering().size(), stages.size());
-  ASSERT_EQ(compiled->stage_da_cost().size(), stages.size());
-  ASSERT_EQ(compiled->stage_da_tables().size(), stages.size());
-
-  bool saw_fir = false;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (!is_fir(stages[i])) {
-      EXPECT_EQ(compiled->stage_da_tables()[i], nullptr) << "stage " << i;
-      EXPECT_EQ(compiled->stage_lowering()[i], FirLowering::kMac) << "stage " << i;
-      continue;
-    }
-    saw_fir = true;
-    // Figure 1 wide16: the CIC narrows pin the FIR's input bus at 16 bits,
-    // inside DA range, so the cost model runs and tables are built.
-    EXPECT_EQ(compiled->stage_input_bits()[i], 16) << "stage " << i;
-    const auto& cost = compiled->stage_da_cost()[i];
-    EXPECT_TRUE(cost.eligible) << "stage " << i;
-    EXPECT_EQ(cost.macs_per_output, stages[i].taps.size()) << "stage " << i;
-    ASSERT_NE(compiled->stage_da_tables()[i], nullptr) << "stage " << i;
-    EXPECT_EQ(compiled->stage_da_tables()[i]->size(), cost.table_entries);
-    // The stored lowering is the pure kAuto outcome (16-bit Figure 1 loses
-    // on lookups-vs-MACs, so kAuto keeps MAC).
-    EXPECT_EQ(compiled->stage_lowering()[i],
-              cost.auto_wins ? FirLowering::kDa : FirLowering::kMac);
-  }
-  EXPECT_TRUE(saw_fir);
-}
-
-TEST(DaLowering, ForceDaEngagesEligibleStagesOnly) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-  FusedChainExec exec(CompiledPlanCache::instance().get_or_compile(reference_plan()));
-  const auto& compiled = exec.compiled();
-  bool any_da = false;
-  for (std::size_t i = 0; i < compiled.plan().stages.size(); ++i) {
-    if (is_fir(compiled.plan().stages[i]) && compiled.stage_da_tables()[i]) {
-      EXPECT_EQ(exec.active_lowering(i), FirLowering::kDa) << "stage " << i;
-      any_da = true;
-    } else {
-      EXPECT_EQ(exec.active_lowering(i), FirLowering::kMac) << "stage " << i;
-    }
-  }
-  EXPECT_TRUE(any_da);
-}
-
-TEST(DaLowering, ForceMacDisengagesEveryStage) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceMac);
-  FusedChainExec exec(CompiledPlanCache::instance().get_or_compile(reference_plan()));
-  for (std::size_t i = 0; i < exec.compiled().plan().stages.size(); ++i)
-    EXPECT_EQ(exec.active_lowering(i), FirLowering::kMac) << "stage " << i;
-}
-
-TEST(DaLowering, ForceDaBitExactWithMacAndStagedAcrossTopologies) {
-  // The acceptance property: DA-lowered execution equals MAC execution
-  // equals the staged DdcPipeline bit for bit, over randomized topologies
-  // (every stage narrows to 16 bits, so every FIR stage is DA-eligible) and
-  // uneven block seams.  The per-tile fits-guard makes this unconditional.
-  Rng rng(0xda10);
-  for (int trial = 0; trial < 8; ++trial) {
-    const ChainPlan plan = random_arbitrary_plan(rng, 600 + trial);
-    const auto compiled = CompiledPlanCache::instance().get_or_compile(plan);
-    const auto block_a = stimulus(4097, 900 + static_cast<std::uint64_t>(trial));
-    const auto block_b = stimulus(1700, 950 + static_cast<std::uint64_t>(trial));
-
-    DdcPipeline staged(plan);
-    std::vector<IqSample> want;
-    staged.process_block(block_a, want);
-    staged.process_block(block_b, want);
-
-    std::vector<IqSample> got_mac;
-    {
-      ScopedLoweringPolicy policy(FirLoweringPolicy::kForceMac);
-      FusedChainExec exec(compiled);
-      exec.process_block(block_a, got_mac);
-      exec.process_block(block_b, got_mac);
-    }
-    std::vector<IqSample> got_da;
-    {
-      ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-      FusedChainExec exec(compiled);
-      exec.process_block(block_a, got_da);
-      exec.process_block(block_b, got_da);
-    }
-    EXPECT_EQ(want, got_mac) << plan.name;
-    EXPECT_EQ(got_mac, got_da) << plan.name;
-  }
-}
-
-TEST(DaLowering, SpliceRebuildsTheDaEngineFromTheNextPlan) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-  auto& cache = CompiledPlanCache::instance();
-  const ChainPlan base = reference_plan();
-  ChainPlan retune = base;
-  retune.name = "da-retune";
-  retune.front_end.nco_freq_hz += 1.25e6;
-  for (auto& st : retune.stages)
-    if (!st.taps.empty())
-      for (auto& t : st.taps) t = -t;
-
-  DdcPipeline staged(base);
-  FusedChainExec fused(cache.get_or_compile(base));
-  std::vector<IqSample> want;
-  std::vector<IqSample> got;
-  const auto pre = stimulus(2688, 31);
-  staged.process_block(pre, want);
-  fused.process_block(pre, got);
-  ASSERT_EQ(want, got);
-
-  staged.swap_plan(retune, SwapMode::kSplice);
-  fused.splice(cache.get_or_compile(retune));
-  // Still DA after the splice (the new plan's tables), still bit-exact.
-  bool any_da = false;
-  for (std::size_t i = 0; i < fused.compiled().plan().stages.size(); ++i)
-    any_da = any_da || fused.active_lowering(i) == FirLowering::kDa;
-  EXPECT_TRUE(any_da);
-
-  want.clear();
-  got.clear();
-  const auto post = stimulus(2688 * 2, 32);
-  staged.process_block(post, want);
-  fused.process_block(post, got);
-  EXPECT_EQ(want, got);
-}
-
-TEST(DaLowering, DaTablesDedupThroughCoeffPool) {
-  auto& cache = CompiledPlanCache::instance();
-  cache.clear();  // force both compiles below to really run
-  const auto before = CoeffPool::instance().stats();
-  const auto a = cache.get_or_compile(reference_plan(10.0e6));
-  const auto b = cache.get_or_compile(reference_plan(10.5e6));  // same taps
-  const auto after = CoeffPool::instance().stats();
-  EXPECT_GE(after.da_requests - before.da_requests, 2u);
-  EXPECT_GE(after.da_hits - before.da_hits, 1u);
-  // Identical coefficient sets share one table allocation.
-  const auto& ta = a->stage_da_tables();
-  const auto& tb = b->stage_da_tables();
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i)
-    EXPECT_EQ(ta[i].get(), tb[i].get()) << "stage " << i;
-}
-
-TEST(DaLowering, PolicySetterRoundTrips) {
-  const FirLoweringPolicy saved = fir_lowering_policy();
-  set_fir_lowering_policy(FirLoweringPolicy::kForceDa);
-  EXPECT_EQ(fir_lowering_policy(), FirLoweringPolicy::kForceDa);
-  set_fir_lowering_policy(FirLoweringPolicy::kAuto);
-  EXPECT_EQ(fir_lowering_policy(), FirLoweringPolicy::kAuto);
-  set_fir_lowering_policy(saved);
-}
-
 }  // namespace
 }  // namespace twiddc::core

@@ -1,9 +1,10 @@
 // DaFirEngine: the bit-serial distributed-arithmetic dot must be bit-exact
 // (mod 2^64) with the MAC dot product whenever the window fits the engine's
 // input width, across odd tap counts (partial final slice), every supported
-// width, and negative samples (the sign-bit weight).  fits() is the guard
-// that makes the lowering unconditional; the cost model feeds both the plan
-// compiler's kAuto decision and the energy layer.
+// width, and negative samples (the sign-bit weight).  fits() bounds the
+// range over which that holds; the cost model feeds the energy layer, so
+// this suite is the proof that the DA datapath it prices computes MAC's
+// outputs.
 #include "src/dsp/da_fir.hpp"
 
 #include <gtest/gtest.h>
@@ -117,15 +118,10 @@ TEST(DaFirEngine, CostModelBoundsEligibilityAndCounts) {
   EXPECT_EQ(c16.table_entries, 512u);   // 16 * 32
   EXPECT_EQ(c16.lookups_per_output, 16u * 32u);
   EXPECT_EQ(c16.macs_per_output, 125u);
-  // 512 lookups vs 125 multiplies: the software cost model does NOT pick DA
-  // for the Figure 1 chain -- DA is the hardware trade, chosen by policy.
-  EXPECT_FALSE(c16.auto_wins);
 
-  // Narrow inputs flip the decision: 3-bit samples need 3 * ceil(K/4)
-  // lookups, fewer than K multiplies for K >= 5.
   const auto c3 = DaFirEngine::cost(16, 3);
   EXPECT_TRUE(c3.eligible);
-  EXPECT_TRUE(c3.auto_wins);
+  EXPECT_EQ(c3.lookups_per_output, 3u * 4u);
 
   EXPECT_FALSE(DaFirEngine::cost(0, 16).eligible);
   EXPECT_FALSE(DaFirEngine::cost(125, 0).eligible);

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
@@ -111,6 +112,30 @@ bool wait_until(Pred pred, std::chrono::seconds timeout = std::chrono::seconds(3
   }
   return true;
 }
+
+/// Replays `samples` like a VectorSource, but read k first waits (within
+/// the same 30 s bound as wait_until) until `gate(k)` holds.  With a feed of
+/// whole blocks, read k returns feed block k and the read after the last
+/// block returns end of stream -- so a test can order engine events against
+/// feed progress and feed end instead of racing the watchdog's clock.
+class GatedSource final : public Source {
+ public:
+  GatedSource(std::vector<std::int64_t> samples,
+              std::function<bool(std::uint64_t)> gate)
+      : inner_(std::move(samples)), gate_(std::move(gate)) {}
+
+  std::size_t read(std::span<std::int64_t> out) override {
+    const std::uint64_t k = reads_++;
+    if (!wait_until([&] { return gate_(k); }))
+      ADD_FAILURE() << "source gate for read " << k << " never opened";
+    return inner_.read(out);
+  }
+
+ private:
+  VectorSource inner_;
+  std::function<bool(std::uint64_t)> gate_;
+  std::uint64_t reads_ = 0;
+};
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -662,8 +687,15 @@ TEST_F(FaultInjectionTest, PumpStallShedFreesTheFeedAndMarksTheStream) {
   opts.shed_enabled = true;
   opts.shed_pump_stall_ms = 5;
   opts.shed_queue_fraction = 1.0;  // occupancy trigger off: pump-stall only
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
-  auto keeper = engine.open(figure1_plan(), backends::kNative);
+  // Block k is released only once the keeper has processed block k - 2, so
+  // the keeper's 4-block ring never fills even while its worker is
+  // descheduled: the only kBlock ring the pump can park on is the victim's.
+  std::shared_ptr<Session> keeper;
+  auto source = std::make_unique<GatedSource>(feed, [&keeper](std::uint64_t k) {
+    return k < 2 || keeper->stats().blocks_processed >= k - 1;
+  });
+  StreamEngine engine(std::move(source), opts);
+  keeper = engine.open(figure1_plan(), backends::kNative);
   auto victim = engine.open(figure1_plan(25.0e3), backends::kNative);
   victim->set_paused(true);
   engine.start();
@@ -707,7 +739,8 @@ TEST_F(FaultInjectionTest, OccupancyShedTakesTheLowestWeightSessionFirst) {
   // weight, lightest first -- the paying (heavy) session's backlog is the
   // last to go.  kDropOldest victims keep the pump free so the occupancy
   // trigger (not the pump-stall one) is what fires.
-  const auto feed = make_feed(2048 * 40);
+  constexpr std::uint64_t kBlocks = 40;
+  const auto feed = make_feed(2048 * kBlocks);
   EngineOptions opts;
   opts.workers = 2;
   opts.block_samples = 2048;
@@ -716,14 +749,21 @@ TEST_F(FaultInjectionTest, OccupancyShedTakesTheLowestWeightSessionFirst) {
   opts.shed_enabled = true;
   opts.shed_pump_stall_ms = 1000000;  // pump-stall trigger effectively off
   opts.shed_queue_fraction = 0.5;
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+  // Shedding stops at feed end, so end of feed is withheld until the light
+  // session has been shed: a feed that ran out before a watchdog tick
+  // would otherwise leave nothing to observe.
+  std::shared_ptr<Session> light;
+  auto source = std::make_unique<GatedSource>(feed, [&light](std::uint64_t k) {
+    return k < kBlocks || light->stats().shed_events >= 1;
+  });
+  StreamEngine engine(std::move(source), opts);
   auto keeper = engine.open(figure1_plan(), backends::kNative);
   keeper->set_weight(8);
   auto heavy = engine.open(figure1_plan(25.0e3), backends::kNative,
                            BackpressurePolicy::kDropOldest);
   heavy->set_weight(4);
-  auto light = engine.open(figure1_plan(40.0e3), backends::kNative,
-                           BackpressurePolicy::kDropOldest);
+  light = engine.open(figure1_plan(40.0e3), backends::kNative,
+                      BackpressurePolicy::kDropOldest);
   light->set_weight(1);
   heavy->set_paused(true);
   light->set_paused(true);

@@ -861,67 +861,5 @@ TEST_F(StreamEngineTest, SixteenPlusSessionsAcrossFiveArchitectures) {
   EXPECT_EQ(engine.session_count(), specs.size());
 }
 
-TEST_F(StreamEngineTest, SetWorkersResizesLiveWithinBounds) {
-  const auto feed = make_feed(2048 * 16);
-  EngineOptions opts;
-  opts.workers = 2;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
-  opts.elastic = true;  // allocate the max_workers slots (policy may idle)
-  opts.elastic_grow_depth = 1e9;    // never trigger on its own
-  opts.elastic_shrink_depth = 0.0;  // never trigger on its own
-  opts.block_samples = 2048;
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
-  auto session = engine.open(figure1_plan(), backends::kNative);
-  EXPECT_EQ(engine.effective_workers(), 2);
-  engine.start();
-  EXPECT_EQ(engine.set_workers(4), 4);
-  EXPECT_EQ(engine.effective_workers(), 4);
-  EXPECT_EQ(engine.set_workers(99), 4);  // clamped to max_workers
-  EXPECT_EQ(engine.set_workers(1), 1);
-  EXPECT_EQ(engine.effective_workers(), 1);
-  auto chunks = drain_all(engine, {session});
-  engine.stop();
-  expect_equal(flatten(chunks[0]), one_shot(backends::kNative, figure1_plan(), feed),
-               "resized mid-stream");
-  EXPECT_EQ(session->stats().gaps, 0u);
-  const std::string json = engine.stats_json();
-  EXPECT_NE(json.find("\"workers\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"workers_max\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"workers_detail\": "), std::string::npos);
-  EXPECT_NE(json.find("\"sched_resizes\": 2"), std::string::npos);
-}
-
-TEST_F(StreamEngineTest, ElasticPolicyGrowsUnderBacklogAndShrinksWhenIdle) {
-  // A paused kBlock session fills its ring and parks the pump -- the
-  // unambiguous "current workers cannot keep up" signal -- so the watchdog
-  // must grow to max_workers.  After the backlog drains and the feed ends,
-  // sustained-empty queues must shrink it back to min_workers.
-  const auto feed = make_feed(2048 * 8);
-  EngineOptions opts;
-  opts.workers = 1;
-  opts.min_workers = 1;
-  opts.max_workers = 2;
-  opts.elastic = true;
-  opts.elastic_hysteresis_ticks = 2;
-  opts.watchdog_interval_us = 200;
-  opts.block_samples = 2048;
-  opts.session_queue_blocks = 4;
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
-  auto session = engine.open(figure1_plan(), backends::kNative);
-  session->set_paused(true);
-  engine.start();
-  ASSERT_TRUE(wait_until([&] { return engine.effective_workers() == 2; }));
-  EXPECT_GE(engine.grow_events(), 1u);
-  session->set_paused(false);
-  auto chunks = drain_all(engine, {session});
-  ASSERT_TRUE(wait_until([&] { return engine.effective_workers() == 1; }));
-  EXPECT_GE(engine.shrink_events(), 1u);
-  engine.stop();
-  expect_equal(flatten(chunks[0]), one_shot(backends::kNative, figure1_plan(), feed),
-               "elastic stream");
-  EXPECT_EQ(session->stats().gaps, 0u);
-}
-
 }  // namespace
 }  // namespace twiddc::stream
