@@ -30,9 +30,6 @@
 //                               sharing one config vs 64 distinct configs;
 //   "stream_engine:overload"    survivor p99 inter-chunk gap at 2x
 //                               oversubscription, shedding off and on;
-//   "stream_engine:saturation"  aggregate serving rate + p99 inter-chunk gap
-//                               at 64..4096 sessions, single engine vs
-//                               sharded EngineGroup;
 //   "stream_engine:trace"       the cost of recording trace events.
 // Engine lines carry "workers_effective", the engine's resolved worker count
 // (where TWIDDC_WORKERS lands).  Every line is teed through
@@ -47,10 +44,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/topology.hpp"
 #include "src/common/trace.hpp"
 #include "src/stream/engine.hpp"
-#include "src/stream/engine_group.hpp"
 #include "src/stream/sink.hpp"
 #include "src/stream/source.hpp"
 
@@ -761,107 +756,6 @@ void bench_stream_trace_overhead() {
   twiddc::benchutil::emit("stream_engine:trace", j);
 }
 
-// -------------------------------------------------------------- saturation
-//
-// Scale-out headline: aggregate serving rate and p99 inter-chunk gap at
-// 64..4096 concurrent sessions, a single engine vs a sharded EngineGroup
-// (one pump + scheduler per shard, same total worker budget).  Total
-// channel-samples are held constant across session counts, so the sweep
-// isolates admission/fan-out/scheduling cost at scale rather than kernel
-// time; the single pump's serial fan-out to N rings is the bottleneck the
-// sharding exists to split.  Per-session NCO offsets cycle over 16 plans so
-// the plan cache amortises compiles at every population size.
-
-void bench_stream_saturation() {
-  twiddc::backends::register_builtin();
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-  const int shard_count = std::max<int>(
-      2, static_cast<int>(twiddc::common::topology::probe().node_count()));
-  constexpr std::size_t kTotalChannelSamples = std::size_t{1} << 24;
-  constexpr std::size_t kBlock = 4096;
-
-  for (const std::size_t sessions : {64u, 256u, 1024u, 4096u}) {
-    const std::size_t samples =
-        std::max<std::size_t>(2 * kBlock, kTotalChannelSamples / sessions);
-    const auto feed = figure1_stimulus(cfg, samples);
-    double single_rate = 0.0;
-    for (const int shards : {1, shard_count}) {
-      twiddc::stream::EngineGroupOptions gopts;
-      gopts.shards = shards;
-      // Same total worker budget either way: the sharded run splits it.
-      gopts.engine.workers = std::max(1, hw / shards);
-      gopts.engine.block_samples = kBlock;
-      // Small output rings: 4096 sessions x 256 empty chunk slots is real
-      // memory; the drain loop below polls fast enough for 32.
-      gopts.engine.session_output_chunks = 32;
-      twiddc::stream::EngineGroup group(
-          [&feed] { return std::make_unique<twiddc::stream::VectorSource>(feed); },
-          gopts);
-
-      std::vector<std::shared_ptr<twiddc::stream::Session>> open;
-      open.reserve(sessions);
-      for (std::size_t s = 0; s < sessions; ++s) {
-        auto ch_cfg = cfg;
-        ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(s % 16);
-        open.push_back(group.open(s, twiddc::core::ChainPlan::figure1(ch_cfg, spec),
-                                  twiddc::backends::kNative));
-      }
-      std::size_t workers_effective = 0;
-      for (std::size_t i = 0; i < group.shard_count(); ++i)
-        workers_effective +=
-            static_cast<std::size_t>(group.shard(i).options().workers);
-
-      // Drain by index, not session id: ids are per-engine counters and
-      // collide across shards, which would pool gap samples wrongly.
-      twiddc::stream::LatencyRecorder recorder;
-      const auto start = std::chrono::steady_clock::now();
-      group.start();
-      for (;;) {
-        bool any = false;
-        for (std::size_t i = 0; i < open.size(); ++i)
-          for (auto& chunk : open[i]->poll()) {
-            recorder.on_chunk(i, std::move(chunk));
-            any = true;
-          }
-        if (any) continue;
-        bool done = true;
-        for (const auto& s : open) done = done && group.finished(s);
-        if (done) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      recorder.close_window();
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-      group.stop();
-
-      std::vector<std::uint64_t> ids(open.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-      const double aggregate =
-          static_cast<double>(samples * sessions) / elapsed / 1e6;
-      if (shards == 1) single_rate = aggregate;
-      JsonLine j;
-      j.field("bench", std::string("throughput_pipeline"))
-          .field("chain", std::string("stream_engine:saturation"))
-          .field("sessions", sessions)
-          .field("sharded", shards > 1)
-          .field("shards", static_cast<std::size_t>(shards))
-          .field("workers_effective", workers_effective)
-          .field("block_samples", kBlock)
-          .field("feed_samples", samples)
-          .field("aggregate_msamples_per_s", aggregate)
-          .field("sharded_vs_single",
-                 single_rate > 0.0 ? aggregate / single_rate : 0.0)
-          .field("p50_gap_ms", recorder.gap_quantile_ms(ids, 0.50))
-          .field("p99_gap_ms", recorder.gap_quantile_ms(ids, 0.99))
-          .field("simd", twiddc::simd::isa_name());
-      twiddc::benchutil::emit("stream_engine:saturation", j);
-    }
-  }
-}
-
 /// TWIDDC_BENCH_ONLY: comma-separated substrings; a bench runs when any of
 /// them appears in its name (unset/empty = run everything).  The CI overhead
 /// gate uses it to run just the stream_engine lines on both trace builds.
@@ -909,7 +803,6 @@ int main(int argc, char** argv) {
       {"stream_engine:figure1", bench_stream_sessions},
       {"stream_engine:overload", bench_stream_overload},
       {"stream_engine:trace", bench_stream_trace_overhead},
-      {"stream_engine:saturation", bench_stream_saturation},
   };
   for (const auto& b : kBenches)
     if (bench_selected(b.name)) b.fn();

@@ -13,7 +13,7 @@
 //
 //   $ ./streaming_server [sessions] [feed_frames]
 //
-// Tracing: TWIDDC_TRACE=sched,stream,cache,group (or "all") records the
+// Tracing: TWIDDC_TRACE=sched,stream,cache (or "all") records the
 // run and writes streaming_server.trace.json at exit -- load it in
 // https://ui.perfetto.dev or chrome://tracing.  TWIDDC_TRACE_FILE
 // overrides the output path.

@@ -1,7 +1,7 @@
 // twiddc::metrics -- the telemetry registry: named counters, gauges and
 // log-bucketed histograms, rendered to JSON through one code path
-// (common/json.hpp) so stream::stats_json(), EngineGroup::stats_json()
-// and the bench writers stop hand-rolling their own blocks.
+// (common/json.hpp) so StreamEngine::stats_json() and the bench writers
+// stop hand-rolling their own blocks.
 //
 // All mutators are lock-free atomics; counts are exact (fetch_add), only
 // histogram *quantiles* are approximate (log-linear buckets, 8 linear
@@ -108,8 +108,8 @@ class Histogram {
 /// Process-wide named-metric registry.  Lookup interns the name under a
 /// mutex and returns a stable reference; call sites cache the reference
 /// (instruments are never destroyed).  to_json() renders every registered
-/// instrument sorted by name -- the one stats surface shared by engine,
-/// group and bench writers.
+/// instrument sorted by name -- the one stats surface shared by the engine
+/// and bench writers.
 class Registry {
  public:
   static Registry& instance();

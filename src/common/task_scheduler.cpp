@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/topology.hpp"
 #include "src/common/trace.hpp"
 
 namespace twiddc::common {
@@ -87,33 +86,19 @@ TaskScheduler::Deque::Array* TaskScheduler::Deque::grow(Array* old,
 
 // -------------------------------------------------------------- lifecycle
 
-TaskScheduler::TaskScheduler(Options opts) {
-  const int workers = opts.workers > 0 ? opts.workers : default_worker_count();
-  pin_to_nodes_ = opts.pin_to_nodes;
-  preferred_node_ = opts.preferred_node;
-
-  // Node assignments are fixed before any thread (or snapshot reader)
-  // exists, so Worker::node stays a plain int.
-  const topology::Topology& topo = topology::probe();
-  const bool preferred_ok =
-      preferred_node_ >= 0 &&
-      static_cast<std::size_t>(preferred_node_) < topo.node_count();
+TaskScheduler::TaskScheduler(int threads) {
+  const int workers = std::max(1, threads);
+  // Every slot exists before any thread (or snapshot reader) does.
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->node = preferred_ok ? preferred_node_ : topology::worker_node(w, topo);
     workers_.push_back(std::move(worker));
   }
   for (int w = 0; w < workers; ++w)
     workers_[static_cast<std::size_t>(w)]->thread =
         std::thread([this, w] { worker_loop(w); });
 }
-
-TaskScheduler::TaskScheduler(int threads)
-    : TaskScheduler(Options{/*workers=*/std::max(1, threads),
-                            /*pin_to_nodes=*/false,
-                            /*preferred_node=*/-1}) {}
 
 std::vector<TaskScheduler::WorkerSnapshot> TaskScheduler::worker_snapshot()
     const {
@@ -124,7 +109,6 @@ std::vector<TaskScheduler::WorkerSnapshot> TaskScheduler::worker_snapshot()
     s.queue_depth =
         w->deque.size_approx() + w->inbox_size.load(std::memory_order_relaxed);
     s.sleeping = w->sleeping.load(std::memory_order_relaxed);
-    s.node = w->node;
     out.push_back(s);
   }
   return out;
@@ -338,8 +322,6 @@ void TaskScheduler::worker_loop(int w) {
   tls_worker = w;
   trace::set_thread_name("worker" + std::to_string(w));
   Worker& me = *workers_[static_cast<std::size_t>(w)];
-  if (pin_to_nodes_)
-    topology::pin_thread_to_node(me.node, topology::probe());
   const auto run = [this, &me](TaskNode* n) {
     // The running window is what lets thieves take this worker's queued
     // inbox while it is stuck inside a long task.

@@ -48,20 +48,6 @@ class TaskScheduler {
  public:
   using Task = std::function<void()>;
 
-  /// The worker count is fixed at construction, which spawns every worker
-  /// thread.
-  struct Options {
-    int workers = 0;  ///< worker threads (0 = default_worker_count)
-    /// Pin each worker thread to its round-robin NUMA node
-    /// (topology::worker_node).  A no-op on single-node machines; workers
-    /// record their node id for stats either way.
-    bool pin_to_nodes = false;
-    /// Pin every worker to THIS node (kernel list index) instead of
-    /// round-robin -- the sharded-engine case where a whole scheduler
-    /// belongs to one node.  -1 = round-robin across nodes.
-    int preferred_node = -1;
-  };
-
   /// Counters for tests and stats_json (monotonic since construction).
   struct Stats {
     std::uint64_t executed = 0;  ///< tasks run to completion
@@ -71,11 +57,10 @@ class TaskScheduler {
   };
 
   /// Per-worker observability snapshot (approximate while work is in
-  /// flight): queue depth, park state and placement.
+  /// flight): queue depth and park state.
   struct WorkerSnapshot {
     std::size_t queue_depth = 0;  ///< deque + inbox entries
     bool sleeping = false;
-    int node = 0;  ///< NUMA node this worker is assigned (and maybe pinned) to
   };
 
   /// Fork-join completion tracker.  expect() the task count, have each task
@@ -132,9 +117,8 @@ class TaskScheduler {
     std::shared_ptr<State> state_;
   };
 
-  /// Spawns the persistent worker threads.
-  explicit TaskScheduler(Options opts);
-  /// `threads` workers (clamped to >= 1), no pinning.
+  /// Spawns `threads` persistent worker threads (clamped to >= 1).  The
+  /// count is fixed for the scheduler's lifetime.
   explicit TaskScheduler(int threads);
   /// Joins the workers.  Shutdown is a drain, not a drop: each worker
   /// finishes the tasks already visible in its queues before exiting (it
@@ -162,7 +146,7 @@ class TaskScheduler {
   /// Worker count (the submit_to routing modulus).
   [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Approximate per-worker queue depths and placement for every worker
+  /// Approximate per-worker queue depths and park state for every worker
   /// (index order).  Lock-free reads; depths race benignly with execution.
   [[nodiscard]] std::vector<WorkerSnapshot> worker_snapshot() const;
 
@@ -275,7 +259,6 @@ class TaskScheduler {
     std::atomic<bool> sleeping{false};
     std::atomic<bool> running{false};  ///< inside a task (inbox-steal gate)
     int index = 0;  ///< slot index (set before the thread spawns; immutable)
-    int node = 0;  ///< NUMA node (set before the thread spawns; immutable)
     std::thread thread;
   };
 
@@ -298,8 +281,6 @@ class TaskScheduler {
   [[nodiscard]] bool any_work_visible(const Worker& me) const;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  bool pin_to_nodes_ = false;
-  int preferred_node_ = -1;
   std::atomic<std::uint32_t> round_robin_{0};
   std::atomic<bool> stop_{false};
   std::atomic<int> sleepers_{0};

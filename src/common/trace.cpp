@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "src/common/json.hpp"
@@ -89,8 +90,10 @@ class Ring {
     // Anything the writer could have overwritten while we read (index <=
     // h2 - cap) is invalid; h2 - cap also covers the slot the writer may
     // be mid-store on right now (its head publication trails the stores).
-    const std::uint64_t h2 = head_.load(std::memory_order_acquire);
-    const std::uint64_t valid_from = h2 > cap ? h2 - cap : 0;
+    // The fence keeps the slot loads above ahead of the head re-read.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t h2 = head_.load(std::memory_order_relaxed);
+    const std::uint64_t valid_from = h2 >= cap ? h2 - cap + 1 : 0;
     std::uint64_t kept_from = begin;
     if (valid_from > begin) {
       const std::uint64_t skip = std::min(valid_from - begin, h1 - begin);
@@ -145,8 +148,9 @@ std::size_t round_up_pow2(std::size_t v) {
 // A thread name set before the thread's ring exists (the common case:
 // workers name themselves at spawn, tracing may be off) is stashed here
 // and registered when the ring is created -- so naming a thread never
-// allocates a ring.
-thread_local std::string* tls_pending_name = nullptr;
+// allocates a ring.  Held by value, so a thread that never emits frees it
+// at exit.
+thread_local std::optional<std::string> tls_pending_name;
 
 Ring& ring_for_this_thread() {
   thread_local std::shared_ptr<Ring> tls_ring = [] {
@@ -154,10 +158,9 @@ Ring& ring_for_this_thread() {
     std::lock_guard<std::mutex> lock(reg.mu);
     auto ring = std::make_shared<Ring>(reg.next_tid++, reg.ring_capacity);
     reg.rings.push_back(ring);
-    if (tls_pending_name != nullptr) {
-      reg.thread_names[ring->tid()] = *tls_pending_name;
-      delete tls_pending_name;
-      tls_pending_name = nullptr;
+    if (tls_pending_name) {
+      reg.thread_names[ring->tid()] = std::move(*tls_pending_name);
+      tls_pending_name.reset();
     }
     return ring;
   }();
@@ -169,7 +172,6 @@ const char* category_name(Category c) {
     case Category::kSched: return "sched";
     case Category::kStream: return "stream";
     case Category::kCache: return "cache";
-    case Category::kGroup: return "group";
   }
   return "?";
 }
@@ -206,7 +208,6 @@ std::uint32_t parse_categories(const std::string& spec) {
     else if (tok == "sched") mask |= bit(Category::kSched);
     else if (tok == "stream") mask |= bit(Category::kStream);
     else if (tok == "cache") mask |= bit(Category::kCache);
-    else if (tok == "group") mask |= bit(Category::kGroup);
     pos = comma + 1;
   }
   return mask;
@@ -230,8 +231,7 @@ void set_thread_name(const std::string& name) {
     // Tracing off: remember the name without paying for a ring.  If this
     // thread later emits (tracing enabled meanwhile), ring creation
     // registers it.
-    delete tls_pending_name;
-    tls_pending_name = new std::string(name);
+    tls_pending_name = name;
     return;
   }
   const std::uint32_t tid = ring_for_this_thread().tid();

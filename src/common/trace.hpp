@@ -34,14 +34,12 @@ enum class Category : std::uint8_t {
   kSched = 0,   ///< TaskScheduler: steal, steal_inbox, wakeup
   kStream = 1,  ///< StreamEngine/Session: pump, service, retune, gap, fault
   kCache = 2,   ///< CompiledPlanCache: compile, hit/miss, eviction
-  kGroup = 3,   ///< EngineGroup: migration eject/adopt
 };
 inline constexpr std::uint32_t bit(Category c) {
   return 1u << static_cast<unsigned>(c);
 }
 inline constexpr std::uint32_t kAllCategories =
-    bit(Category::kSched) | bit(Category::kStream) | bit(Category::kCache) |
-    bit(Category::kGroup);
+    bit(Category::kSched) | bit(Category::kStream) | bit(Category::kCache);
 
 /// How an event renders in Chrome trace format.
 enum class Phase : std::uint8_t {
@@ -75,7 +73,7 @@ void set_enabled(std::uint32_t category_mask);
 [[nodiscard]] bool enabled(Category c);
 
 /// Parses a TWIDDC_TRACE-style spec: comma-separated category names
-/// ("sched,stream,cache,group"), or "all"/"1" for everything.  Unknown
+/// ("sched,stream,cache"), or "all"/"1" for everything.  Unknown
 /// names are ignored; an empty spec yields 0.
 [[nodiscard]] std::uint32_t parse_categories(const std::string& spec);
 

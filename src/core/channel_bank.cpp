@@ -41,15 +41,8 @@ void ChannelBank::set_workers(int workers) {
   // in every process_block via the fork-join steal loop.
   const int pool_size = workers_ - 1;
   if (sched_ && sched_->workers() != pool_size) sched_.reset();
-  if (!sched_ && pool_size > 0) {
-    common::TaskScheduler::Options opts;
-    opts.workers = pool_size;
-    // Spread the fork-join pool across NUMA nodes (a no-op on one-node
-    // boxes): a stolen tile runs on the node its thief's deque lives on,
-    // and the thief's scratch stays node-local.
-    opts.pin_to_nodes = true;
-    sched_ = std::make_unique<common::TaskScheduler>(opts);
-  }
+  if (!sched_ && pool_size > 0)
+    sched_ = std::make_unique<common::TaskScheduler>(pool_size);
 }
 
 bool ChannelBank::packable(std::size_t c) {

@@ -1,11 +1,12 @@
 #include "src/stream/engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <thread>
 #include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/json.hpp"
-#include "src/common/topology.hpp"
 #include "src/common/trace.hpp"
 #include "src/core/plan_compiler.hpp"
 
@@ -14,6 +15,18 @@ namespace twiddc::stream {
 namespace {
 
 constexpr trace::Category kStreamCat = trace::Category::kStream;
+
+/// EngineOptions::workers <= 0: the TWIDDC_WORKERS environment variable when
+/// set and positive (a deployment setting), else hardware_concurrency (>= 1).
+/// Read per construction, so tests can flip the variable.
+int default_worker_count() {
+  if (const char* env = std::getenv("TWIDDC_WORKERS")) {
+    const int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 /// Interned event-name ids for this file's trace sites, resolved once on
 /// first use (any site, any thread -- the static init is serialized).
@@ -26,8 +39,6 @@ struct TraceNames {
   std::uint16_t service = trace::intern("service");
   std::uint16_t gap = trace::intern("gap");
   std::uint16_t shed = trace::intern("shed");
-  std::uint16_t eject = trace::intern("eject");
-  std::uint16_t adopt = trace::intern("adopt");
 };
 const TraceNames& tn() {
   static const TraceNames names;
@@ -42,8 +53,7 @@ StreamEngine::StreamEngine(std::unique_ptr<Source> source, EngineOptions options
       link_(std::make_shared<EngineLink>()),
       output_epoch_(std::make_shared<std::atomic<std::uint32_t>>(0)) {
   if (!source_) throw ConfigError("StreamEngine: needs a source");
-  // workers <= 0 means auto: TWIDDC_WORKERS env, else hardware concurrency.
-  if (options_.workers <= 0) options_.workers = common::default_worker_count();
+  if (options_.workers <= 0) options_.workers = default_worker_count();
   options_.block_samples = std::max<std::size_t>(1, options_.block_samples);
   options_.session_queue_blocks = std::max<std::size_t>(2, options_.session_queue_blocks);
   options_.session_output_chunks =
@@ -79,11 +89,6 @@ std::shared_ptr<Session> StreamEngine::open(const core::ChainPlan& plan,
   session->home_.store(
       static_cast<int>(session->id() % static_cast<std::uint64_t>(options_.workers)),
       std::memory_order_release);
-  // The session's stream starts at the current feed position: a migration
-  // ticket taken before any block arrives backfills nothing earlier.
-  session->feed_next_seq_.store(blocks_pumped_.load(std::memory_order_acquire),
-                                std::memory_order_release);
-  place_session(*session);
   session->set_attached(workers_live_);
   session->set_restart_policy(options_.default_restart);
   sessions_.push_back(session);
@@ -91,32 +96,11 @@ std::shared_ptr<Session> StreamEngine::open(const core::ChainPlan& plan,
   return session;
 }
 
-void StreamEngine::place_session(Session& session) const {
-  if (!options_.pin_to_nodes && options_.preferred_node < 0) return;
-  namespace topo = common::topology;
-  const topo::Topology& t = topo::probe();
-  if (t.node_count() <= 1) return;
-  const int idx =
-      options_.preferred_node >= 0 &&
-              static_cast<std::size_t>(options_.preferred_node) < t.node_count()
-          ? options_.preferred_node
-          : topo::worker_node(session.home_.load(std::memory_order_acquire), t);
-  const int kernel_node = t.nodes[static_cast<std::size_t>(idx)].id;
-  // Best effort: rings fall back to first-touch placement when mbind is
-  // unavailable (the calls just return false).
-  session.in_ring_.bind_to_node(kernel_node);
-  session.out_ring_.bind_to_node(kernel_node);
-}
-
 void StreamEngine::start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (running_.load(std::memory_order_acquire))
     throw SimulationError("StreamEngine: start() while already running");
-  common::TaskScheduler::Options sched_opts;
-  sched_opts.workers = options_.workers;
-  sched_opts.pin_to_nodes = options_.pin_to_nodes;
-  sched_opts.preferred_node = options_.preferred_node;
-  sched_ = std::make_unique<common::TaskScheduler>(sched_opts);
+  sched_ = std::make_unique<common::TaskScheduler>(options_.workers);
   stop_.store(false, std::memory_order_release);
   // run_start_time_ is non-atomic: publish it BEFORE the running_ release
   // store so a stats_json() that acquire-reads running_ == true sees it.
@@ -242,135 +226,6 @@ std::vector<std::shared_ptr<Session>> StreamEngine::snapshot() const {
   return sessions_;
 }
 
-// -------------------------------------------------------------- migration
-
-StreamEngine::MigrationTicket StreamEngine::eject(
-    const std::shared_ptr<Session>& session) {
-  if (!session) throw ConfigError("StreamEngine: eject() needs a session");
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    const auto it = std::find(sessions_.begin(), sessions_.end(), session);
-    if (it == sessions_.end())
-      throw SimulationError(
-          "StreamEngine: eject() of a session this engine does not own");
-    sessions_.erase(it);
-    sessions_gen_.fetch_add(1, std::memory_order_release);
-  }
-  // Order is the Dekker mirror of run_session's claim gate: migrating_ is
-  // published (seq_cst) BEFORE in_service_ is read, so any service pass that
-  // missed the flag is counted and waited for, and any pass that starts
-  // later sees the flag and bails without touching the backend.
-  session->migrating_.store(true, std::memory_order_seq_cst);
-  // A kBlock pump push may be parked in this very ring; wake it so it
-  // observes migrating_ and releases the block to the new owner's debt.
-  session->in_ring_.wake();
-  {
-    // Barrier: any fan-out already in flight completes (or aborts) before
-    // the ticket position is read, so feed_next_seq_ is final.  The pump's
-    // next pass refreshes its cached list and drops the session.
-    std::lock_guard<std::mutex> gate(pump_gate_mu_);
-  }
-  while (session->in_service_.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::yield();
-  MigrationTicket ticket;
-  ticket.session = session;
-  ticket.next_feed_seq = session->feed_next_seq_.load(std::memory_order_acquire);
-  trace::instant(trace::Category::kGroup, tn().eject, session->id(),
-                 ticket.next_feed_seq);
-  return ticket;
-}
-
-void StreamEngine::adopt(const MigrationTicket& ticket,
-                         std::unique_ptr<Source> backfill) {
-  const std::shared_ptr<Session>& s = ticket.session;
-  if (!s) throw ConfigError("StreamEngine: adopt() needs a ticket session");
-  if (!s->migrating_.load(std::memory_order_acquire))
-    throw SimulationError("StreamEngine: adopt() of a session never ejected");
-  // The gate freezes this engine's pump position for the whole splice: no
-  // block fans out between the blocks_pumped_ read below and the moment the
-  // session is registered, so the handoff is gap-free by construction.
-  std::lock_guard<std::mutex> gate(pump_gate_mu_);
-  s->rebind(link_, output_epoch_);
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    s->home_.store(
-        static_cast<int>(s->id() % static_cast<std::uint64_t>(options_.workers)),
-        std::memory_order_release);
-    s->sched_state_.store(Session::kIdle, std::memory_order_release);
-    s->set_attached(workers_live_);
-    sessions_.push_back(s);
-    sessions_gen_.fetch_add(1, std::memory_order_release);
-  }
-  place_session(*s);
-  // Un-flag BEFORE the backfill pushes: service passes (nudged below) must
-  // be able to drain the ring while we refill it, or a span longer than the
-  // ring capacity could never complete.  The pump cannot interfere -- it is
-  // parked on the gate we hold.
-  s->migrating_.store(false, std::memory_order_seq_cst);
-  const std::uint64_t here = blocks_pumped_.load(std::memory_order_acquire);
-  if (here > ticket.next_feed_seq) {
-    // This feed is ahead of where the session left its old engine: replay
-    // the missed span from a fresh source.  Identical deterministic sources
-    // across engines are the migration contract -- seq N carries the same
-    // samples everywhere -- so the replay is bit-exact, not approximate.
-    if (!backfill)
-      throw ConfigError(
-          "StreamEngine: adopt() needs a backfill source (destination feed "
-          "is ahead of the ticket)");
-    std::vector<std::int64_t> buffer(options_.block_samples);
-    for (std::uint64_t seq = 0; seq < here; ++seq) {
-      if (s->closed()) break;
-      const std::size_t n = backfill->read(buffer);
-      if (n == 0)
-        throw SimulationError(
-            "StreamEngine: backfill source ended before the migration span");
-      if (seq < ticket.next_feed_seq) continue;  // old engine delivered these
-      FeedBlock block;
-      block.seq = seq;
-      block.samples = std::make_shared<const std::vector<std::int64_t>>(
-          buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(n));
-      // A private enqueue: the public path's stop_/carry_ handling belongs
-      // to the pump, and a stopped engine has no worker to drain a full
-      // kBlock ring -- that case is a hard error, not a hang.
-      for (;;) {
-        const auto token = s->in_ring_.wake_token();
-        if (s->in_ring_.closed()) break;
-        if (s->in_ring_.try_push(FeedBlock(block))) break;
-        if (s->policy_ == BackpressurePolicy::kDropOldest) {
-          if (auto old = s->in_ring_.try_pop()) {
-            s->stats_.input_drop_blocks.fetch_add(1, std::memory_order_relaxed);
-            s->stats_.input_drop_samples.fetch_add(old->samples->size(),
-                                                   std::memory_order_relaxed);
-            s->pending_dropped_samples_.fetch_add(old->samples->size(),
-                                                  std::memory_order_relaxed);
-          }
-          continue;
-        }
-        if (!running_.load(std::memory_order_acquire))
-          throw SimulationError(
-              "StreamEngine: adopt() backfill overflows the input ring on a "
-              "stopped engine");
-        if (!s->paused()) s->request_service();  // a worker must drain
-        s->in_ring_.wait(token);
-      }
-      if (s->in_ring_.closed() || s->closed()) break;
-      s->stats_.blocks_enqueued.fetch_add(1, std::memory_order_relaxed);
-      s->stats_.samples_enqueued.fetch_add(block.samples->size(),
-                                           std::memory_order_relaxed);
-      s->feed_next_seq_.store(block.seq + 1, std::memory_order_release);
-      s->note_queue_depth(s->in_ring_.size());
-    }
-  } else if (here < ticket.next_feed_seq) {
-    // This feed is behind: the session already processed [here, ticket) on
-    // its old engine.  The pump skips those seqs instead of re-delivering.
-    s->min_feed_seq_.store(ticket.next_feed_seq, std::memory_order_release);
-  }
-  migrations_in_.fetch_add(1, std::memory_order_relaxed);
-  trace::instant(trace::Category::kGroup, tn().adopt, s->id(),
-                 ticket.next_feed_seq);
-  if (!s->paused()) s->request_service();
-}
-
 // ------------------------------------------------------------------- pump
 
 void StreamEngine::pump_loop() {
@@ -429,12 +284,7 @@ void StreamEngine::pump_loop() {
     bool aborted = false;
     const std::uint64_t fanout_start_ns = trace::Span::now_ns();
     {
-      // The migration gate: adopt() splices a session in against a frozen
-      // pump position, so the whole fan-out + the pumped-count increment
-      // are one atomic step from its point of view.  Uncontended except
-      // during a migration.
       trace::Span fanout_span(kStreamCat, tn().pump_block, block.seq);
-      std::lock_guard<std::mutex> gate(pump_gate_mu_);
       const std::uint64_t gen = sessions_gen_.load(std::memory_order_acquire);
       if (gen != seen_gen) {
         std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -445,19 +295,12 @@ void StreamEngine::pump_loop() {
       for (std::size_t k = 0; k < live.size(); ++k) {
         Session& s = *live[k];
         if (s.closed()) continue;  // may close mid-fan-out
-        // An ejected session left this engine's feed (its new engine owes it
-        // everything from its ticket position on).
-        if (s.migrating_.load(std::memory_order_acquire)) continue;
         // Quarantined/faulted sessions are out of the feed (their backlog was
         // discarded); a kBackoff session keeps receiving -- its ring buffers
         // the stream across the restart window.
         const auto health = s.health();
         if (health == SessionHealth::kQuarantined ||
             health == SessionHealth::kFaulted)
-          continue;
-        // Destination-behind migration: the session already processed this
-        // span on its previous engine; skip until the feed catches up.
-        if (block.seq < s.min_feed_seq_.load(std::memory_order_acquire))
           continue;
         if (resuming &&
             std::find(carry_->served.begin(), carry_->served.end(), s.id()) !=
@@ -517,10 +360,6 @@ bool StreamEngine::enqueue(Session& s, const FeedBlock& block) {
         unpublish();
         return true;  // quarantined mid-wait: it left the feed
       }
-      if (s.migrating_.load(std::memory_order_acquire)) {
-        unpublish();
-        return true;  // ejected mid-wait: its new engine owes this block
-      }
       if (stop_.load(std::memory_order_acquire)) {
         unpublish();
         return false;  // run ended mid-push: the pump carries this block over
@@ -545,7 +384,6 @@ bool StreamEngine::enqueue(Session& s, const FeedBlock& block) {
     for (;;) {
       if (s.in_ring_.closed()) return true;
       if (s.health() == SessionHealth::kQuarantined) return true;
-      if (s.migrating_.load(std::memory_order_acquire)) return true;
       if (s.in_ring_.try_push(std::move(copy))) break;
       if (auto old = s.in_ring_.try_pop()) {
         s.stats_.input_drop_blocks.fetch_add(1, std::memory_order_relaxed);
@@ -566,10 +404,6 @@ bool StreamEngine::enqueue(Session& s, const FeedBlock& block) {
   s.stats_.blocks_enqueued.fetch_add(1, std::memory_order_relaxed);
   s.stats_.samples_enqueued.fetch_add(block.samples->size(),
                                       std::memory_order_relaxed);
-  // Migration bookkeeping: the pump has now delivered everything up to and
-  // including this seq (kDropOldest may evict some later, but those losses
-  // are marked in-stream, not owed by a future engine).
-  s.feed_next_seq_.store(block.seq + 1, std::memory_order_release);
   s.note_queue_depth(s.in_ring_.size());
   // The targeted wakeup: schedule THIS session on its home worker.  The
   // old WorkerPool design bumped a global epoch and notify_all()ed every
@@ -620,28 +454,8 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
   if (!s.sched_state_.compare_exchange_strong(expected, Session::kRunning,
                                               std::memory_order_acq_rel))
     return;
-  // Migration handshake: in_service_ is raised BEFORE the migrating_ check
-  // (both seq_cst), the Dekker mirror of eject()'s migrating_-then-wait
-  // order -- either this pass sees migrating_ and bails without touching
-  // the backend, or eject() waits for it to finish.
-  s.in_service_.fetch_add(1, std::memory_order_seq_cst);
-  struct ServiceGuard {
-    std::atomic<int>& counter;
-    ~ServiceGuard() { counter.fetch_sub(1, std::memory_order_seq_cst); }
-  } service_guard{s.in_service_};
-  if (s.migrating_.load(std::memory_order_seq_cst)) {
-    s.sched_state_.store(Session::kIdle, std::memory_order_release);
-    return;
-  }
-  if (!s.owned_by(link_)) {
-    // A task queued before the session migrated away: release the claim and
-    // nudge the owning engine, which lost this scheduling request to us.
-    s.sched_state_.store(Session::kIdle, std::memory_order_release);
-    s.request_service();
-    return;
-  }
   const int w = sched.current_worker_index();
-  if (w >= 0) s.home_.store(w, std::memory_order_release);  // migrate on steal
+  if (w >= 0) s.home_.store(w, std::memory_order_release);  // re-home on steal
   s.stats_.service_passes.fetch_add(1, std::memory_order_relaxed);
   bool requeue = false;
   if (!stop_.load(std::memory_order_acquire) && !s.closed()) {
@@ -731,7 +545,6 @@ bool StreamEngine::service(Session& s, std::size_t budget) {
   std::size_t processed = 0;
   for (;;) {
     if (stop_.load(std::memory_order_acquire) || s.closed() || s.paused() ||
-        s.migrating_.load(std::memory_order_acquire) ||
         s.health() != SessionHealth::kHealthy)
       return false;
     if (processed >= budget) return s.in_ring_.size() > 0;
@@ -1043,7 +856,6 @@ std::string StreamEngine::stats_json() const {
   JsonLine engine_line;
   engine_line.field("sessions", session_count())
       .field("workers", static_cast<std::size_t>(options_.workers))
-      .field("numa_nodes", common::topology::probe().node_count())
       .field("block_samples", options_.block_samples)
       .field("quantum_blocks", options_.session_quantum_blocks)
       .field("blocks_pumped", static_cast<std::size_t>(blocks_pumped()))
@@ -1053,8 +865,6 @@ std::string StreamEngine::stats_json() const {
       .field("tasks_executed", static_cast<std::size_t>(sched_stats.executed))
       .field("tasks_stolen", static_cast<std::size_t>(sched_stats.stolen))
       .field("steal_failures", static_cast<std::size_t>(sched_stats.steal_failures))
-      .field("migrations_in",
-             static_cast<std::size_t>(migrations_in_.load(std::memory_order_relaxed)))
       .field("targeted_wakeups", static_cast<std::size_t>(sched_stats.wakeups));
   // Fault-containment counters.  faults/restarts aggregate the LIVE
   // sessions (a closed, pruned session takes its share with it); the
@@ -1106,16 +916,14 @@ std::string StreamEngine::stats_json() const {
       .field("entries", cache.entries)
       .field("capacity", cache.capacity);
   // Per-worker detail rides as its own array (one object per scheduler
-  // worker): queue depth and park state show where work is waiting, node
-  // shows the NUMA placement that pinning chose.
+  // worker): queue depth and park state show where work is waiting.
   std::vector<JsonLine> workers_detail;
   workers_detail.reserve(wsnap.size());
   for (std::size_t i = 0; i < wsnap.size(); ++i) {
     JsonLine w;
     w.field("worker", i)
         .field("queue_depth", wsnap[i].queue_depth)
-        .field("sleeping", wsnap[i].sleeping)
-        .field("node", static_cast<double>(wsnap[i].node));
+        .field("sleeping", wsnap[i].sleeping);
     workers_detail.push_back(std::move(w));
   }
   // Latency distributions: nanosecond samples, reported in milliseconds.

@@ -49,17 +49,11 @@
 namespace twiddc::stream {
 
 struct EngineOptions {
-  /// Worker threads.  <= 0 resolves at construction to
-  /// common::default_worker_count() -- the TWIDDC_WORKERS environment
-  /// variable when set, hardware_concurrency otherwise.  Fixed for the
-  /// engine's lifetime: every start() spawns exactly this many workers.
+  /// Worker threads.  <= 0 resolves at construction to the TWIDDC_WORKERS
+  /// environment variable when set (and positive), hardware_concurrency
+  /// otherwise.  Fixed for the engine's lifetime: every start() spawns
+  /// exactly this many unpinned workers.
   int workers = 0;
-  /// Pin worker threads to their NUMA nodes and bind new sessions' rings
-  /// node-local (no-ops on single-node machines).
-  bool pin_to_nodes = false;
-  /// Pin the WHOLE engine to one NUMA node (list index; -1 = spread
-  /// round-robin).  The sharded EngineGroup sets one node per shard.
-  int preferred_node = -1;
   std::size_t block_samples = 4096; ///< feed samples per FeedBlock
   std::size_t session_queue_blocks = 8;    ///< input-ring capacity (blocks)
   std::size_t session_output_chunks = 256; ///< output-ring capacity (chunks)
@@ -144,39 +138,6 @@ class StreamEngine {
   /// The clamped options; options().workers is the resolved worker count.
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
-  /// Sessions this engine adopt()ed over its lifetime.
-  [[nodiscard]] std::uint64_t migrations_in() const {
-    return migrations_in_.load(std::memory_order_relaxed);
-  }
-
-  /// A session in flight between two engines (EngineGroup::migrate).
-  /// next_feed_seq is where the session's contiguous input prefix ends:
-  /// everything before it was either processed or still sits in the
-  /// session's input ring (which travels with the Session object).
-  struct MigrationTicket {
-    std::shared_ptr<Session> session;
-    std::uint64_t next_feed_seq = 0;
-  };
-
-  /// Removes `session` from this engine without closing it: the pump stops
-  /// feeding it, the in-flight service pass (if any) is waited out, queued
-  /// input and output stay on the session.  The ticket hands it to another
-  /// engine's adopt().  May briefly block on the pump finishing its
-  /// current block fan-out.
-  MigrationTicket eject(const std::shared_ptr<Session>& session);
-
-  /// Adopts an ejected session mid-stream, gap-free: if this engine's feed
-  /// is AHEAD of the ticket (blocks the session never saw were already
-  /// pumped here), the missing span [ticket.next_feed_seq, blocks_pumped())
-  /// is replayed from `backfill` -- a fresh Source that must produce the
-  /// identical deterministic feed this engine's own source does.  If this
-  /// engine is BEHIND, the pump simply skips already-processed blocks for
-  /// this session until it catches up.  `backfill` may be null when the
-  /// caller knows this engine is not ahead.  The engine should be
-  /// running; backfilling into a stopped engine throws if a ring fills
-  /// (nobody would drain it).
-  void adopt(const MigrationTicket& ticket, std::unique_ptr<Source> backfill);
-
   /// The fault that ended the feed, if Source::read ever threw: the pump
   /// contains a source exception as an engine-level fault (the feed ends as
   /// if exhausted, sessions drain cleanly) instead of letting it escape a
@@ -248,8 +209,6 @@ class StreamEngine {
   /// Discards `session`'s queued input (watchdog thread; ring pops are
   /// MPMC-safe against the worker).  Returns the blocks discarded.
   std::uint64_t shed_backlog(Session& session);
-  /// Binds a new session's rings node-local when placement is on.
-  void place_session(Session& session) const;
   /// Returns false only when stop() aborted a kBlock wait mid-push: the
   /// pump records the fan-out position so the next run resumes it.
   bool enqueue(Session& session, const FeedBlock& block);
@@ -301,12 +260,6 @@ class StreamEngine {
   };
   std::optional<PendingFanout> carry_;
 
-  /// Held by the pump around each block's full fan-out + blocks_pumped_
-  /// increment, and by adopt() while it splices a migrated session in: a
-  /// frozen pump position is what makes the backfill span exact.  Never
-  /// held while touching lifecycle_mu_ or sessions_mu_-then-waiting.
-  std::mutex pump_gate_mu_;
-
   std::shared_ptr<std::atomic<std::uint32_t>> output_epoch_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{true};  ///< false only while a run is live
@@ -327,7 +280,6 @@ class StreamEngine {
   std::atomic<std::uint64_t> shed_events_{0};
   std::atomic<std::uint64_t> shed_blocks_{0};
   std::atomic<std::uint64_t> shed_samples_{0};
-  std::atomic<std::uint64_t> migrations_in_{0};
 
   /// Pump kBlock-wait publication for the watchdog's pump-stall shed
   /// trigger: the session id + 1 the pump is parked on (0 = not parked) and

@@ -27,8 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/topology.hpp"
-
 namespace twiddc::stream {
 
 template <typename T>
@@ -139,16 +137,6 @@ class BoundedRing {
   /// Wakes all waiters without changing ring state (for external predicate
   /// changes: engine stop, session close, pause toggles).
   void wake() { bump(); }
-
-  /// Best-effort NUMA placement of the slot array (kernel node id): the
-  /// consumer of this ring lives on that node, so its polls should not
-  /// cross the interconnect.  Returns false (leaving first-touch placement)
-  /// on single-node boxes or when mbind is unavailable.  Call before the
-  /// ring carries traffic; moving hot pages later works but stalls.
-  bool bind_to_node(int node) {
-    return common::topology::bind_memory_to_node(
-        slots_.data(), slots_.size() * sizeof(Slot), node);
-  }
 
  private:
   struct Slot {

@@ -63,17 +63,9 @@ Session::Session(std::uint64_t id,
       output_epoch_(std::move(output_epoch)) {}
 
 void Session::request_service() {
-  const std::shared_ptr<EngineLink> link = this->link();
-  std::lock_guard<std::mutex> lock(link->mu);
-  if (link->engine && link->scheduler_live)
-    link->engine->schedule_session(*this);
-}
-
-void Session::rebind(std::shared_ptr<EngineLink> link,
-                     std::shared_ptr<std::atomic<std::uint32_t>> output_epoch) {
-  std::lock_guard<std::mutex> lock(link_mu_);
-  link_ = std::move(link);
-  output_epoch_ = std::move(output_epoch);
+  std::lock_guard<std::mutex> lock(link_->mu);
+  if (link_->engine && link_->scheduler_live)
+    link_->engine->schedule_session(*this);
 }
 
 std::vector<StreamChunk> Session::poll(std::size_t max_chunks) {
@@ -240,15 +232,13 @@ void Session::close() {
   {
     // Tell the pump its fan-out list went stale (it prunes on the next
     // generation change).
-    const std::shared_ptr<EngineLink> link = this->link();
-    std::lock_guard<std::mutex> lock(link->mu);
-    if (link->engine)
-      link->engine->sessions_gen_.fetch_add(1, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(link_->mu);
+    if (link_->engine)
+      link_->engine->sessions_gen_.fetch_add(1, std::memory_order_release);
   }
   // Closing can complete a drain (finished() treats closed as terminal).
-  const auto epoch = output_epoch();
-  epoch->fetch_add(1, std::memory_order_release);
-  epoch->notify_all();
+  output_epoch_->fetch_add(1, std::memory_order_release);
+  output_epoch_->notify_all();
 }
 
 std::string Session::plan_name() const {
@@ -344,9 +334,8 @@ void Session::apply_fault_transition(FaultInfo info, RestartPolicy policy) {
   // the state change (finished() treats quarantine as input-terminal).
   in_ring_.wake();
   out_ring_.wake();
-  const auto epoch = output_epoch();
-  epoch->fetch_add(1, std::memory_order_release);
-  epoch->notify_all();
+  output_epoch_->fetch_add(1, std::memory_order_release);
+  output_epoch_->notify_all();
 }
 
 FaultInfo Session::last_fault() const {

@@ -348,39 +348,6 @@ class Session : public std::enable_shared_from_this<Session> {
 
   void note_queue_depth(std::uint64_t depth);
 
-  // ---- cross-engine migration support (EngineGroup::migrate) ----
-  //
-  // The migration seam: the source engine ejects the session (stops feeding
-  // it, waits out the in-flight service pass), the destination rebinds
-  // link_/output_epoch_ and resumes.  While migrating_ is up, service
-  // passes bail without touching the backend and the source pump treats
-  // the session as served (feed_next_seq_ records where its contiguous
-  // prefix ends, so the destination backfills exactly [next, its own pump
-  // position) -- gap-free by construction).
-
-  /// Snapshot accessors: link_/output_epoch_ can be swapped by rebind(), so
-  /// every use site takes a shared_ptr copy under link_mu_ first.
-  [[nodiscard]] std::shared_ptr<EngineLink> link() const {
-    std::lock_guard<std::mutex> lock(link_mu_);
-    return link_;
-  }
-  [[nodiscard]] std::shared_ptr<std::atomic<std::uint32_t>> output_epoch()
-      const {
-    std::lock_guard<std::mutex> lock(link_mu_);
-    return output_epoch_;
-  }
-  /// Whether this session currently belongs to the engine owning `link`
-  /// (the run_session staleness check: a task queued on the old engine's
-  /// scheduler may fire after the session moved).
-  [[nodiscard]] bool owned_by(const std::shared_ptr<EngineLink>& link) const {
-    std::lock_guard<std::mutex> lock(link_mu_);
-    return link_ == link;
-  }
-  /// Points the session at its new engine.  Only while ejected (the old
-  /// engine has stopped feeding and no service pass is in flight).
-  void rebind(std::shared_ptr<EngineLink> link,
-              std::shared_ptr<std::atomic<std::uint32_t>> output_epoch);
-
   const std::uint64_t id_;
   const std::string backend_name_;
   std::string plan_name_;  // guarded by control_mu_ (retunes rename it)
@@ -398,23 +365,6 @@ class Session : public std::enable_shared_from_this<Session> {
   std::atomic<bool> paused_{false};
   std::atomic<bool> busy_{false};     ///< worker mid-block (for drain checks)
   std::atomic<bool> detached_{true};  ///< no workers attached (engine not running)
-  /// Mid-migration flag (eject sets, adopt clears).  Service passes bail
-  /// (without touching the backend) and the source pump skips the session
-  /// while it is up.  seq_cst against in_service_: a claimer increments
-  /// in_service_ BEFORE checking migrating_, eject stores migrating_ then
-  /// waits for in_service_ == 0 -- the Dekker pair guarantees no service
-  /// pass overlaps the handoff.
-  std::atomic<bool> migrating_{false};
-  std::atomic<int> in_service_{0};  ///< claimed service passes touching state
-  /// Next feed seq this session's contiguous input prefix expects: set to
-  /// the engine's pump position at open and to seq+1 on every accepted
-  /// block.  The migration ticket reads it; the destination backfills up
-  /// to its own pump position from here.
-  std::atomic<std::uint64_t> feed_next_seq_{0};
-  /// Fan-out floor: the pump skips blocks with seq < min_feed_seq_ for this
-  /// session (destination-behind migration: those blocks were already
-  /// processed on the source engine).
-  std::atomic<std::uint64_t> min_feed_seq_{0};
   std::atomic<std::uint64_t> pending_dropped_samples_{0};
   std::atomic<std::uint8_t> health_{0};  ///< SessionHealth (kHealthy)
   /// Progress heartbeat: bumped by the worker once per service-loop
@@ -471,11 +421,10 @@ class Session : public std::enable_shared_from_this<Session> {
   std::chrono::steady_clock::time_point wd_busy_since_{};
 
   AtomicStats stats_;
-  /// Engine attachment, swapped atomically by rebind() during migration.
-  /// Read through link()/output_epoch() copies everywhere.
-  mutable std::mutex link_mu_;
-  std::shared_ptr<EngineLink> link_;                         ///< scheduling nudges
-  std::shared_ptr<std::atomic<std::uint32_t>> output_epoch_; ///< wakes drainers
+  // The owning engine's attachment, fixed at construction.  Both are shared
+  // with the engine, so a handle stays usable after the engine is gone.
+  const std::shared_ptr<EngineLink> link_;  ///< scheduling nudges
+  const std::shared_ptr<std::atomic<std::uint32_t>> output_epoch_;  ///< wakes drainers
 };
 
 }  // namespace twiddc::stream

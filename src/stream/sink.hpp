@@ -102,18 +102,6 @@ class LatencyRecorder final : public Sink {
     return static_cast<double>(pool.quantile(p)) * 1e-3;
   }
 
-  /// Pooled-across-all-sessions convenience quantiles, in milliseconds.
-  [[nodiscard]] double p50_ms() const { return pooled_quantile(0.50); }
-  [[nodiscard]] double p99_ms() const { return pooled_quantile(0.99); }
-
-  /// The pooled gap distribution of every session, for JSON rendering
-  /// through the shared metrics code path (scale 1e-3: us -> ms).
-  [[nodiscard]] metrics::HistogramSnapshot pooled_gaps_us() const {
-    metrics::HistogramSnapshot pool;
-    for (const auto& [id, rec] : records_) pool.add(rec.gaps_us.snapshot());
-    return pool;
-  }
-
  private:
   struct Record {
     std::chrono::steady_clock::time_point last{};
@@ -126,10 +114,6 @@ class LatencyRecorder final : public Sink {
     rec.gaps_us.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(now - rec.last)
             .count()));
-  }
-
-  [[nodiscard]] double pooled_quantile(double p) const {
-    return static_cast<double>(pooled_gaps_us().quantile(p)) * 1e-3;
   }
 
   std::map<std::uint64_t, Record> records_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -132,6 +133,26 @@ TEST_F(TraceFixture, MultiThreadMergeIsTimestampSortedAndComplete) {
   EXPECT_EQ(named, static_cast<std::size_t>(kThreads));
 }
 
+TEST_F(TraceFixture, NameSetWhileDisabledIsRegisteredOnFirstEmit) {
+  // Workers name themselves at spawn, usually with tracing off: the name is
+  // held without creating a ring, and the ring created by the thread's
+  // first emit (after tracing was switched on) must carry it.
+  ASSERT_EQ(enabled_mask(), 0u);
+  const std::uint16_t name = intern("late_ring");
+  std::thread([name] {
+    set_thread_name("named-while-off");
+    set_enabled(kAllCategories);
+    instant(Category::kStream, name, 5, 0);
+  }).join();
+  const Snapshot snap = snapshot();
+  ASSERT_EQ(snap.events.size(), 1u);
+  const std::uint32_t tid = snap.events[0].tid;
+  const auto it = std::find_if(snap.threads.begin(), snap.threads.end(),
+                               [tid](const auto& t) { return t.first == tid; });
+  ASSERT_NE(it, snap.threads.end());
+  EXPECT_EQ(it->second, "named-while-off");
+}
+
 TEST_F(TraceFixture, SpanRecordsDurationAndStartTime) {
   set_enabled(kAllCategories);
   const std::uint16_t name = intern("span");
@@ -177,8 +198,8 @@ TEST_F(TraceFixture, ParseCategoriesSpecs) {
   EXPECT_EQ(parse_categories("sched"), bit(Category::kSched));
   EXPECT_EQ(parse_categories("sched,stream"),
             bit(Category::kSched) | bit(Category::kStream));
-  EXPECT_EQ(parse_categories("cache,group"),
-            bit(Category::kCache) | bit(Category::kGroup));
+  EXPECT_EQ(parse_categories("cache, sched"),
+            bit(Category::kCache) | bit(Category::kSched));
   EXPECT_EQ(parse_categories("bogus"), 0u);  // unknown names ignored
   EXPECT_EQ(parse_categories("bogus,stream"), bit(Category::kStream));
 }
@@ -241,7 +262,7 @@ TEST_F(TraceFixture, NdjsonExportsOneObjectPerEvent) {
   set_enabled(kAllCategories);
   const std::uint16_t name = intern("nd");
   for (int i = 0; i < 5; ++i)
-    instant(Category::kGroup, name, static_cast<std::uint64_t>(i), 0);
+    instant(Category::kCache, name, static_cast<std::uint64_t>(i), 0);
   const std::string nd = to_ndjson(snapshot());
   std::size_t lines = 0;
   std::size_t pos = 0;

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,6 +209,78 @@ TEST_F(StreamEngineTest, QueuedOutputSurvivesStop) {
   EXPECT_FALSE(engine.running());
   expect_equal(flatten(session->poll()),
                one_shot(backends::kNative, figure1_plan(), feed), "post-stop poll");
+}
+
+TEST_F(StreamEngineTest, SessionHandleOutlivesItsEngine) {
+  // The EngineLink contract: a client's session handle stays usable after
+  // the engine that opened it is destroyed.
+  const auto feed = make_feed(2048 * 8);
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.block_samples = 2048;
+  std::shared_ptr<Session> session;
+  {
+    StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+    session = engine.open(figure1_plan(), backends::kNative);
+    engine.start();
+    for (;;) {
+      const auto token = engine.output_token();  // before the check
+      if (session->queued_output_chunks() > 0) break;
+      engine.wait_output(token);
+    }
+  }  // ~StreamEngine stops the run and cuts the link
+
+  // Queued output polls bit-exact: a gap-free prefix of the one-shot run.
+  const auto chunks = session->poll();
+  ASSERT_FALSE(chunks.empty());
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    EXPECT_EQ(chunks[k].block_seq, k);
+    EXPECT_EQ(chunks[k].gap_before, GapCause::kNone);
+  }
+  const auto got = flatten(chunks);
+  const auto want = one_shot(backends::kNative, figure1_plan(), feed);
+  ASSERT_LE(got.size(), want.size());
+  expect_equal(got, std::vector<IqSample>(want.begin(), want.begin() + got.size()),
+               "post-engine poll");
+
+  // With no engine, a retune applies inline on this thread.
+  EXPECT_TRUE(session->retune(figure1_plan(25.0e3), SwapMode::kSplice));
+  EXPECT_EQ(session->stats().retunes_applied, 1u);
+
+  // The scheduling nudges have nobody to reach; they must be no-ops.
+  session->set_paused(true);
+  session->set_paused(false);
+  session->close();
+  EXPECT_TRUE(session->closed());
+  EXPECT_TRUE(session->poll().empty());
+}
+
+TEST_F(StreamEngineTest, DefaultWorkerCountHonoursEnvOverride) {
+  // workers <= 0 resolves at construction: TWIDDC_WORKERS when set and
+  // positive (a deployment setting), else the hardware concurrency.
+  const char* env = std::getenv("TWIDDC_WORKERS");
+  const std::optional<std::string> saved =
+      env ? std::optional<std::string>(env) : std::nullopt;
+  ::unsetenv("TWIDDC_WORKERS");
+  const auto resolved = [](int requested) {
+    EngineOptions opts;
+    opts.workers = requested;
+    return StreamEngine(std::make_unique<VectorSource>(make_feed(16)), opts)
+        .options()
+        .workers;
+  };
+  const int base = resolved(0);
+  EXPECT_GE(base, 1);
+  ::setenv("TWIDDC_WORKERS", "3", 1);
+  EXPECT_EQ(resolved(0), 3);
+  EXPECT_EQ(resolved(2), 2);  // an explicit count wins over the variable
+  ::setenv("TWIDDC_WORKERS", "0", 1);  // non-positive: ignored
+  EXPECT_EQ(resolved(0), base);
+  ::setenv("TWIDDC_WORKERS", "junk", 1);  // unparsable: ignored
+  EXPECT_EQ(resolved(0), base);
+  ::unsetenv("TWIDDC_WORKERS");
+  EXPECT_EQ(resolved(-1), base);
+  if (saved) ::setenv("TWIDDC_WORKERS", saved->c_str(), 1);
 }
 
 TEST_F(StreamEngineTest, BlockPolicyStallsThePumpAndLosesNothing) {
