@@ -23,9 +23,11 @@
 //   "figure1:fused_vs_staged"   the plan compiler's fused tile executor vs
 //                               the staged pipeline, bit-exactness asserted
 //                               inline;
-//   "figure1:packed_fir"        cross-channel packed kernels vs monolithic
-//                               per-channel chains at 64 channels, one line
-//                               per kernel tier;
+//   "figure1:packed_fir"        cross-channel CIC-lane packing (the FIR
+//                               tail runs per lane; the name stays so
+//                               trajectories line up) vs monolithic
+//                               per-channel chains at 64 channels, one
+//                               line per kernel tier;
 //   "plan_cache"                compile-time amortisation: 64 sessions
 //                               sharing one config vs 64 distinct configs;
 //   "stream_engine:overload"    survivor p99 inter-chunk gap at 2x
@@ -461,13 +463,13 @@ void bench_channel_bank() {
   }
 }
 
-// ------------------------------------------------------- packed FIR tiers
+// ------------------------------------------------------- packed CIC tiers
 
 // Cross-channel packing headline: 64 identical-geometry Figure-1 channels
 // (detuned NCOs, same CIC/FIR geometry, so the bank packs them 4 or 8 to a
-// register) on ONE worker, the packed cross-channel kernels (CIC
-// packed4/packed8 plus the FIR tail lane-packing) against the same bank
-// with set_packing(false) -- monolithic per-channel chains.  One line per
+// register) on ONE worker, the packed CIC lanes (packed4/packed8; the NCO,
+// mixer and FIR tail run per lane) against the same bank with
+// set_packing(false) -- monolithic per-channel chains.  One line per
 // available kernel tier: the AVX-512 runtime cap is forced off for the
 // "avx2" line (on builds without AVX2 intrinsics that line degrades to the
 // scalar tier and the speedup sits near 1), and an "avx512" line is added

@@ -617,107 +617,6 @@ inline void mul_shift_narrow_block(const std::int64_t* x, const std::int32_t* m,
   mul_shift_narrow_scalar(x, m, n, shift, bits, rounding, overflow, out);
 }
 
-// ----------------------------------------------- cross-channel packed dots
-//
-// out[l] = sum_j taps[j] * win[j*L + l] for L lanes -- L channels' FIR
-// windows interleaved at stride L, sharing one tap set.  Each tap costs one
-// broadcast amortised over all L lanes plus one unit-stride register load,
-// which is what makes cross-channel FIR packing pay: the monolithic path
-// re-streams the taps per channel.  Accumulation is per-lane mod 2^64, so
-// the result is bit-exact with L independent dot_i64 calls (and with the
-// scalar loop) regardless of ISA.  `narrow_ok` asserts every tap and window
-// element fits int32, same contract as dot_i64.
-
-inline void dot_i64_x4_scalar(const std::int64_t* taps, const std::int64_t* win,
-                              std::size_t ntaps, std::int64_t out[4]) {
-  std::uint64_t acc[4] = {0, 0, 0, 0};
-  for (std::size_t j = 0; j < ntaps; ++j) {
-    const std::uint64_t t = static_cast<std::uint64_t>(taps[j]);
-    for (int l = 0; l < 4; ++l)
-      acc[l] += t * static_cast<std::uint64_t>(win[j * 4 + static_cast<std::size_t>(l)]);
-  }
-  for (int l = 0; l < 4; ++l) out[l] = static_cast<std::int64_t>(acc[l]);
-}
-
-inline void dot_i64_x8_scalar(const std::int64_t* taps, const std::int64_t* win,
-                              std::size_t ntaps, std::int64_t out[8]) {
-  std::uint64_t acc[8] = {};
-  for (std::size_t j = 0; j < ntaps; ++j) {
-    const std::uint64_t t = static_cast<std::uint64_t>(taps[j]);
-    for (int l = 0; l < 8; ++l)
-      acc[l] += t * static_cast<std::uint64_t>(win[j * 8 + static_cast<std::size_t>(l)]);
-  }
-  for (int l = 0; l < 8; ++l) out[l] = static_cast<std::int64_t>(acc[l]);
-}
-
-/// 4 lanes per AVX2 register; scalar fallback elsewhere (bit-exact).
-inline void dot_i64_x4(const std::int64_t* taps, const std::int64_t* win,
-                       std::size_t ntaps, bool narrow_ok, std::int64_t out[4]) {
-#if defined(__AVX2__)
-  if (enabled()) {
-    __m256i acc = _mm256_setzero_si256();
-    if (narrow_ok) {
-      for (std::size_t j = 0; j < ntaps; ++j) {
-        const __m256i vt = _mm256_set1_epi64x(taps[j]);
-        const __m256i vw =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(win + j * 4));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epi32(vt, vw));
-      }
-    } else {
-      for (std::size_t j = 0; j < ntaps; ++j) {
-        const __m256i vt = _mm256_set1_epi64x(taps[j]);
-        const __m256i vw =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(win + j * 4));
-        acc = _mm256_add_epi64(acc, detail::mullo_epi64(vt, vw));
-      }
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc);
-    return;
-  }
-#endif
-  (void)narrow_ok;
-  dot_i64_x4_scalar(taps, win, ntaps, out);
-}
-
-#if defined(TWIDDC_HAVE_AVX512_KERNELS)
-namespace detail {
-TWIDDC_AVX512_TARGET inline void dot_i64_x8_avx512(const std::int64_t* taps,
-                                                   const std::int64_t* win,
-                                                   std::size_t ntaps,
-                                                   bool narrow_ok,
-                                                   std::int64_t out[8]) {
-  __m512i acc = _mm512_setzero_si512();
-  if (narrow_ok) {
-    for (std::size_t j = 0; j < ntaps; ++j) {
-      const __m512i vt = _mm512_set1_epi64(taps[j]);
-      const __m512i vw = _mm512_loadu_si512(win + j * 8);
-      acc = _mm512_add_epi64(acc, _mm512_mul_epi32(vt, vw));
-    }
-  } else {
-    for (std::size_t j = 0; j < ntaps; ++j) {
-      const __m512i vt = _mm512_set1_epi64(taps[j]);
-      const __m512i vw = _mm512_loadu_si512(win + j * 8);
-      acc = _mm512_add_epi64(acc, _mm512_mullo_epi64(vt, vw));
-    }
-  }
-  _mm512_storeu_si512(out, acc);
-}
-}  // namespace detail
-#endif
-
-/// 8 lanes per AVX-512 register; scalar fallback elsewhere (bit-exact).
-inline void dot_i64_x8(const std::int64_t* taps, const std::int64_t* win,
-                       std::size_t ntaps, bool narrow_ok, std::int64_t out[8]) {
-#if defined(TWIDDC_HAVE_AVX512_KERNELS)
-  if (avx512_active()) {
-    detail::dot_i64_x8_avx512(taps, win, ntaps, narrow_ok, out);
-    return;
-  }
-#endif
-  (void)narrow_ok;
-  dot_i64_x8_scalar(taps, win, ntaps, out);
-}
-
 // --------------------------------------------------------------- block scans
 
 /// Min/max of a block in one pass (used to range-check pipeline inputs

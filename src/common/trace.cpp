@@ -121,7 +121,7 @@ class Ring {
 };
 
 /// Process-wide state.  Rings are shared_ptr so a snapshot taken after a
-/// producer thread exits still reads its events.
+/// producer thread exits still reads its events; reset() frees them.
 struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<Ring>> rings;
@@ -292,6 +292,15 @@ void reset() {
   std::vector<std::shared_ptr<Ring>> rings;
   {
     std::lock_guard<std::mutex> lock(reg.mu);
+    // A ring only the registry still owns belongs to an exited thread: its
+    // events are about to be discarded anyway, so drop the ring and the
+    // thread's name with it.  A snapshot holding a copy keeps it one more
+    // reset.
+    std::erase_if(reg.rings, [&reg](const std::shared_ptr<Ring>& ring) {
+      if (ring.use_count() != 1) return false;
+      reg.thread_names.erase(ring->tid());
+      return true;
+    });
     rings = reg.rings;
   }
   for (const auto& ring : rings) ring->discard_up_to_now();

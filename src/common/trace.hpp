@@ -154,7 +154,8 @@ struct Snapshot {
 [[nodiscard]] Snapshot snapshot();
 
 /// Marks every ring's current contents as consumed: later snapshots only
-/// see events emitted after the call.  Drop counters restart too.
+/// see events emitted after the call.  Drop counters restart too, and
+/// threads that have exited are forgotten (their rings and names freed).
 void reset();
 
 /// Chrome trace format: {"traceEvents": [...]} with thread-name metadata,

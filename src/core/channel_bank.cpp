@@ -9,7 +9,6 @@
 #include "src/common/error.hpp"
 #include "src/common/simd.hpp"
 #include "src/dsp/cic.hpp"
-#include "src/dsp/fir.hpp"
 #include "src/fixed/qformat.hpp"
 
 namespace twiddc::core {
@@ -108,71 +107,6 @@ std::vector<ChannelBank::Unit> ChannelBank::make_units() {
   return units;
 }
 
-void ChannelBank::run_packed_tail(const Unit& unit, int r,
-                                  std::vector<std::int64_t>* cur[],
-                                  std::vector<std::int64_t>* spare[],
-                                  std::vector<std::int64_t>* fin[]) {
-  const int L = unit.lanes;
-  StageChain<std::int64_t>* rails[8];
-  const std::size_t nstages = channels_[unit.ch[0]].rail(r).size();
-  bool lockstep = true;
-  for (int l = 0; l < L; ++l) {
-    rails[l] = &channels_[unit.ch[l]].rail(r);
-    lockstep = lockstep && rails[l]->size() == nstages;
-  }
-  std::size_t s = 1;
-  for (; lockstep && s < nstages; ++s) {
-    // A stage packs when every lane exposes the same FIR kernel kind and the
-    // lanes' sample streams are still in lockstep; the kernel itself checks
-    // the rest (shared taps, decimation, phase, SIMD tier) and declines
-    // without touching state otherwise.
-    dsp::FirDecimator<std::int64_t>* fk[8];
-    dsp::PolyphaseFirDecimator<std::int64_t>* pk[8];
-    bool all_fir = true;
-    bool all_poly = true;
-    bool sizes_ok = true;
-    for (int l = 0; l < L; ++l) {
-      fk[l] = rails[l]->stage(s).fir_kernel();
-      pk[l] = rails[l]->stage(s).polyphase_kernel();
-      all_fir = all_fir && fk[l] != nullptr;
-      all_poly = all_poly && pk[l] != nullptr;
-      sizes_ok = sizes_ok && cur[l]->size() == cur[0]->size();
-    }
-    if ((!all_fir && !all_poly) || !sizes_ok) break;
-    const std::size_t n = cur[0]->size();
-    const std::int64_t* ins[8];
-    std::vector<std::int64_t>* outs[8];
-    for (int l = 0; l < L; ++l) {
-      ins[l] = cur[l]->data();
-      spare[l]->clear();
-      outs[l] = spare[l];
-    }
-    const bool packed =
-        all_fir ? dsp::FirDecimator<std::int64_t>::process_block_packed(fk, L, ins,
-                                                                        n, outs)
-                : dsp::PolyphaseFirDecimator<std::int64_t>::process_block_packed(
-                      pk, L, ins, n, outs);
-    if (!packed) break;
-    // The kernels bypass the stage's output conditioning; apply it here,
-    // identically to the stage's own block path.
-    for (int l = 0; l < L; ++l) {
-      const StageSpec& st = channels_[unit.ch[l]].plan().stages[s];
-      for (std::int64_t& v : *outs[l]) {
-        v = fixed::shift_right(v, st.post_shift, st.rounding);
-        if (st.narrow_bits != 0)
-          v = fixed::narrow(v, st.narrow_bits, fixed::Overflow::kSaturate);
-      }
-      std::swap(cur[l], spare[l]);
-    }
-  }
-  for (int l = 0; l < L; ++l) {
-    if (lockstep && s >= nstages)
-      fin[l]->swap(*cur[l]);  // every stage packed; cur holds the rail output
-    else
-      rails[l]->process_block_from(s, *cur[l], *fin[l]);
-  }
-}
-
 void ChannelBank::run_packed_tile(const Unit& unit,
                                   std::span<const std::int64_t> tile,
                                   std::vector<std::vector<IqSample>>& out,
@@ -241,9 +175,10 @@ void ChannelBank::run_packed_tile(const Unit& unit,
   run_cic(kern_i, in_i, out_i);
   run_cic(kern_q, in_q, out_q);
 
-  // Stage-0 conditioning per lane.
+  // Stage-0 conditioning + the rest of each lane's chain, per lane.
   for (int l = 0; l < L; ++l) {
-    const StageSpec& st0 = channels_[unit.ch[l]].plan().stages[0];
+    DdcPipeline& p = channels_[unit.ch[l]];
+    const StageSpec& st0 = p.plan().stages[0];
     for (std::vector<std::int64_t>* rail : {&s.cic_i[l], &s.cic_q[l]}) {
       for (std::int64_t& v : *rail) {
         v = fixed::shift_right(v, st0.post_shift, st0.rounding);
@@ -251,25 +186,10 @@ void ChannelBank::run_packed_tile(const Unit& unit,
           v = fixed::narrow(v, st0.narrow_bits, fixed::Overflow::kSaturate);
       }
     }
-  }
-
-  // Tail stages: packed FIR across lanes while legal, per-lane otherwise.
-  std::vector<std::int64_t>* cur[8];
-  std::vector<std::int64_t>* spare[8];
-  std::vector<std::int64_t>* fin[8];
-  for (int r = 0; r < 2; ++r) {
-    for (int l = 0; l < L; ++l) {
-      cur[l] = r == 0 ? &s.cic_i[l] : &s.cic_q[l];
-      s.tail[l].clear();
-      spare[l] = &s.tail[l];
-      fin[l] = r == 0 ? &s.rail_i[l] : &s.rail_q[l];
-      fin[l]->clear();
-    }
-    run_packed_tail(unit, r, cur, spare, fin);
-  }
-
-  for (int l = 0; l < L; ++l) {
-    DdcPipeline& p = channels_[unit.ch[l]];
+    s.rail_i[l].clear();
+    s.rail_q[l].clear();
+    p.rail(0).process_block_from(1, s.cic_i[l], s.rail_i[l]);
+    p.rail(1).process_block_from(1, s.cic_q[l], s.rail_q[l]);
     if (s.rail_i[l].size() != s.rail_q[l].size())
       throw SimulationError("ChannelBank: I/Q rails lost rate lock");
     std::vector<IqSample>& o = out[unit.ch[l]];

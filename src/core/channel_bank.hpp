@@ -29,16 +29,12 @@
 // every lane's integrator state per cascade stage.  The cascade is a
 // loop-carried dependency chain, so it cannot vectorise along time within
 // one channel; across channels it packs perfectly.  The NCO and mixer stay
-// per-lane (they already vectorise along time through the simd shim).  The
-// FIR/polyphase tail stages also pack: stages whose lanes share tap values,
-// decimation and phase run through the multi-lane dot kernels
-// (dsp::FirDecimator::process_block_packed), so each tap broadcast feeds 4
-// or 8 channels' MACs; at the first tail stage that cannot pack
-// (mixed geometry, drifted phase, non-FIR kind) the remaining stages run
-// per lane via StageChain::process_block_from.  Packed execution is
-// bit-exact with the per-channel path, falls back to it when the SIMD tier
-// is absent or simd::set_enabled(false) is in force, and skips channels
-// with observation taps installed (a split chain cannot feed them).
+// per-lane (they already vectorise along time through the simd shim), and
+// every stage after the CIC runs per lane via
+// StageChain::process_block_from.  Packed execution is bit-exact with the
+// per-channel path, falls back to it when the SIMD tier is absent or
+// simd::set_enabled(false) is in force, and skips channels with
+// observation taps installed (a split chain cannot feed them).
 //
 // The GC4016 quad-channel model (src/asic/gc4016.cpp) is a shim over this
 // class; the throughput bench sweeps channel counts through it to track
@@ -106,13 +102,12 @@ class ChannelBank {
 
  private:
   /// Scratch for one packed unit's tile: per-lane cos/sin, mixed rails, raw
-  /// CIC outputs, tail ping-pong and tail-chain outputs.  Tile-sized, reused
-  /// across tiles; lanes beyond unit.lanes stay empty.
+  /// CIC outputs and tail-chain outputs.  Tile-sized, reused across tiles;
+  /// lanes beyond unit.lanes stay empty.
   struct PackScratch {
     std::vector<std::int32_t> cs[8], sn[8];
     std::vector<std::int64_t> mix_i[8], mix_q[8];
     std::vector<std::int64_t> cic_i[8], cic_q[8];
-    std::vector<std::int64_t> tail[8];
     std::vector<std::int64_t> rail_i[8], rail_q[8];
   };
   /// One execution unit of a block pass: a single channel (lanes == 1, the
@@ -150,14 +145,6 @@ class ChannelBank {
   void run_packed_tile(const Unit& unit, std::span<const std::int64_t> tile,
                        std::vector<std::vector<IqSample>>& out,
                        PackScratch& scratch);
-  /// Runs rail `r`'s stages [1, end) for every lane of a packed unit,
-  /// packing FIR stages across lanes while legal and falling back to
-  /// per-lane chains at the first stage that cannot pack.  `cur` holds each
-  /// lane's stage-0-conditioned samples, `spare` is ping-pong scratch, and
-  /// the rail outputs land in `fin`.
-  void run_packed_tail(const Unit& unit, int r, std::vector<std::int64_t>* cur[],
-                       std::vector<std::int64_t>* spare[],
-                       std::vector<std::int64_t>* fin[]);
 
   std::vector<DdcPipeline> channels_;
   std::vector<char> enabled_;  // vector<bool> has no per-element data()

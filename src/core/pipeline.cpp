@@ -162,18 +162,6 @@ class FixedFirStage final : public Stage<std::int64_t> {
   void reset() override { fir_.reset(); }
   [[nodiscard]] int decimation() const override { return fir_.decimation(); }
   [[nodiscard]] const std::string& label() const override { return label_; }
-  [[nodiscard]] dsp::FirDecimator<std::int64_t>* fir_kernel() override {
-    if constexpr (std::is_same_v<Filter, dsp::FirDecimator<std::int64_t>>)
-      return &fir_;
-    else
-      return nullptr;
-  }
-  [[nodiscard]] dsp::PolyphaseFirDecimator<std::int64_t>* polyphase_kernel() override {
-    if constexpr (std::is_same_v<Filter, dsp::PolyphaseFirDecimator<std::int64_t>>)
-      return &fir_;
-    else
-      return nullptr;
-  }
 
  private:
   std::string label_;

@@ -38,11 +38,7 @@
 
 namespace twiddc::dsp {
 class CicDecimator;
-template <typename T>
-class FirDecimator;
-template <typename T>
-class PolyphaseFirDecimator;
-}  // namespace twiddc::dsp
+}
 
 namespace twiddc::core {
 
@@ -194,23 +190,11 @@ class Stage {
 
   /// Packed-execution hook: the stage's CIC kernel when (and only when) the
   /// stage is a fixed-point CIC decimator, else nullptr.  ChannelBank uses
-  /// it to run 4 channels' integrator cascades per AVX2 register; mutating
+  /// it to run 4 (AVX2) or 8 (AVX-512) channels' integrator cascades per
+  /// register, and perfbench's stage probe reads its config; mutating
   /// the kernel through this pointer is equivalent to feeding the stage the
   /// same samples minus the stage's output conditioning.
   [[nodiscard]] virtual dsp::CicDecimator* cic_kernel() { return nullptr; }
-
-  /// Packed-execution hooks for the FIR tail: the stage's fixed-point
-  /// decimating-FIR (resp. polyphase) kernel when the stage wraps one, else
-  /// nullptr.  ChannelBank uses them to run 4/8 channels' tap sets through
-  /// the multi-lane dot kernels (FirDecimator::process_block_packed); as with
-  /// cic_kernel, driving the kernel directly bypasses the stage's output
-  /// conditioning, which the packed caller must then apply itself.
-  [[nodiscard]] virtual dsp::FirDecimator<std::int64_t>* fir_kernel() {
-    return nullptr;
-  }
-  [[nodiscard]] virtual dsp::PolyphaseFirDecimator<std::int64_t>* polyphase_kernel() {
-    return nullptr;
-  }
 };
 
 /// Builds the fixed-point (int64) realisation of a stage spec.

@@ -49,48 +49,6 @@ inline void reseat_ring(std::vector<std::int64_t>& history, std::size_t& head,
   for (std::size_t j = 0; j < n; ++j) history[j] = window[window.size() - n + j];
   head = 0;
 }
-
-/// Core of the packed cross-channel paths: interleaves L lanes' flat windows
-/// at stride L, then computes every kept output's L dots through one
-/// multi-lane kernel call (shared-tap broadcast).  Outputs land at window
-/// index i = d-1-phase, d-1-phase+d, ... -- identical instants to the
-/// per-lane block paths.  Per-lane accumulation is mod 2^64, so the packed
-/// results are bit-exact with per-lane simd::dot_i64.
-void packed_dot_outputs(const std::int64_t* rev_taps, std::size_t ntaps,
-                        const std::vector<std::int64_t>* const windows[], int L,
-                        std::size_t m, int d, int phase, bool narrow_ok,
-                        std::vector<std::int64_t>* const out[]) {
-  thread_local std::vector<std::int64_t> inter;
-  const std::size_t nw = windows[0]->size();
-  const auto lanes = static_cast<std::size_t>(L);
-  inter.resize(nw * lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::int64_t* w = windows[l]->data();
-    for (std::size_t j = 0; j < nw; ++j) inter[j * lanes + l] = w[j];
-  }
-  const std::size_t kept = m / static_cast<std::size_t>(d) + 1;
-  for (std::size_t l = 0; l < lanes; ++l) out[l]->reserve(out[l]->size() + kept);
-  std::int64_t res[8];
-  for (std::size_t i = static_cast<std::size_t>(d - 1 - phase); i < m;
-       i += static_cast<std::size_t>(d)) {
-    if (L == 4)
-      simd::dot_i64_x4(rev_taps, inter.data() + i * 4, ntaps, narrow_ok, res);
-    else
-      simd::dot_i64_x8(rev_taps, inter.data() + i * 8, ntaps, narrow_ok, res);
-    for (std::size_t l = 0; l < lanes; ++l) out[l]->push_back(res[l]);
-  }
-}
-
-/// The SIMD tier needed for an L-lane packed pass is available right now.
-bool packed_tier_available(int nlanes) {
-  if (nlanes == 8) return simd::avx512_active();
-  if (nlanes != 4) return false;
-#if defined(__AVX2__)
-  return simd::enabled();
-#else
-  return false;
-#endif
-}
 }  // namespace
 
 // ---------------------------------------------------------------- FirFilter
@@ -239,53 +197,6 @@ void FirDecimator<T>::process_block(std::span<const T> in, std::vector<T>& out) 
   }
 }
 
-template <typename T>
-bool FirDecimator<T>::process_block_packed(FirDecimator* const lanes[], int nlanes,
-                                           const T* const in[], std::size_t n,
-                                           std::vector<T>* const out[]) {
-  if constexpr (!std::is_integral_v<T>) {
-    (void)lanes;
-    (void)in;
-    (void)n;
-    (void)out;
-    return false;
-  } else {
-    if (nlanes != 4 && nlanes != 8) return false;
-    const FirDecimator& l0 = *lanes[0];
-    for (int l = 1; l < nlanes; ++l) {
-      const FirDecimator& ll = *lanes[l];
-      // Tap *values* must match: the packed kernel broadcasts one shared tap
-      // across all lanes.  Phase lockstep keeps the output instants aligned.
-      if (ll.decimation_ != l0.decimation_ || ll.phase_ != l0.phase_ ||
-          ll.taps_ != l0.taps_)
-        return false;
-    }
-    if (!packed_tier_available(nlanes)) return false;
-    if (n == 0) return true;
-
-    const std::size_t ntaps = l0.taps_.size();
-    const int d = l0.decimation_;
-    const std::vector<std::int64_t>* windows[8];
-    bool narrow_ok = true;
-    for (int l = 0; l < nlanes; ++l) {
-      FirDecimator& lane = *lanes[l];
-      narrow_ok = load_window(lane.history_, lane.head_, lane.taps_fit_i32_,
-                              std::span(in[l], n), lane.window_) &&
-                  narrow_ok;
-      windows[l] = &lane.window_;
-    }
-    packed_dot_outputs(l0.rev_taps_.data(), ntaps, windows, nlanes, n, d,
-                       l0.phase_, narrow_ok, out);
-    for (int l = 0; l < nlanes; ++l) {
-      FirDecimator& lane = *lanes[l];
-      lane.phase_ = static_cast<int>(
-          (static_cast<std::size_t>(lane.phase_) + n) % static_cast<std::size_t>(d));
-      reseat_ring(lane.history_, lane.head_, lane.window_);
-    }
-    return true;
-  }
-}
-
 // ---------------------------------------------------- PolyphaseFirDecimator
 
 template <typename T>
@@ -362,46 +273,36 @@ std::optional<T> PolyphaseFirDecimator<T>::push(T x) {
 }
 
 template <typename T>
-bool PolyphaseFirDecimator<T>::load_flat_window(std::span<const T> in) {
-  // The flat window's past samples are reconstructed from the per-phase rings
-  // by walking the commutator backwards (sample at depth d behind the newest
-  // lives in the ring of phase D-1-((r_last - d) mod D)); every window slot an
-  // output actually reads is backed by a live ring entry because push() stores
-  // exactly the samples its MACs revisit.
-  const std::size_t n = total_taps_;
-  const std::size_t m = in.size();
-  const int d = decimation_;
-  window_.assign(n - 1 + m, T{});
-  if (n >= 2) {
-    std::vector<std::size_t> cursor = heads_;
-    int residue = (rotor_ + d - 1) % d;  // residue of the most recent sample
-    for (std::size_t depth = 0; depth + 1 < n; ++depth) {
-      const auto q = static_cast<std::size_t>(d - 1 - residue);
-      auto& c = cursor[q];
-      const auto& h = histories_[q];
-      c = c == 0 ? h.size() - 1 : c - 1;
-      window_[n - 2 - depth] = h[c];
-      residue = residue == 0 ? d - 1 : residue - 1;
-    }
-  }
-  std::copy(in.begin(), in.end(), window_.begin() + static_cast<std::ptrdiff_t>(n - 1));
-  if constexpr (std::is_integral_v<T>)
-    return taps_fit_i32_ && simd::all_fit_i32(window_.data(), window_.size());
-  else
-    return false;
-}
-
-template <typename T>
 void PolyphaseFirDecimator<T>::process_block(std::span<const T> in, std::vector<T>& out) {
   out.reserve(out.size() + in.size() / static_cast<std::size_t>(decimation_) + 1);
   if constexpr (std::is_integral_v<T>) {
     // The polyphase MAC set per output equals the direct form's, and integer
     // sums are order-independent, so each block output can be one contiguous
-    // dot product over the reconstructed flat window.
+    // dot product.  The flat window's past samples are reconstructed from the
+    // per-phase rings by walking the commutator backwards (sample at depth d
+    // behind the newest lives in the ring of phase D-1-((r_last - d) mod D));
+    // every window slot an output actually reads is backed by a live ring
+    // entry because push() stores exactly the samples its MACs revisit.
     const std::size_t n = total_taps_;
     const std::size_t m = in.size();
     if (m == 0) return;
-    const bool narrow_ok = load_flat_window(in);
+    const int d = decimation_;
+    window_.assign(n - 1 + m, T{});
+    if (n >= 2) {
+      std::vector<std::size_t> cursor = heads_;
+      int residue = (rotor_ + d - 1) % d;  // residue of the most recent sample
+      for (std::size_t depth = 0; depth + 1 < n; ++depth) {
+        const auto q = static_cast<std::size_t>(d - 1 - residue);
+        auto& c = cursor[q];
+        const auto& h = histories_[q];
+        c = c == 0 ? h.size() - 1 : c - 1;
+        window_[n - 2 - depth] = h[c];
+        residue = residue == 0 ? d - 1 : residue - 1;
+      }
+    }
+    std::copy(in.begin(), in.end(), window_.begin() + static_cast<std::ptrdiff_t>(n - 1));
+    const bool narrow_ok =
+        taps_fit_i32_ && simd::all_fit_i32(window_.data(), window_.size());
     // Commutator stores keep the per-phase rings state-exact for later
     // push() calls; the MACs run on the flat window instead.
     for (std::size_t i = 0; i < m; ++i) {
@@ -438,60 +339,6 @@ void PolyphaseFirDecimator<T>::process_block(std::span<const T> in, std::vector<
       }
       out.push_back(acc);
     }
-  }
-}
-
-template <typename T>
-bool PolyphaseFirDecimator<T>::process_block_packed(PolyphaseFirDecimator* const lanes[],
-                                                    int nlanes, const T* const in[],
-                                                    std::size_t n,
-                                                    std::vector<T>* const out[]) {
-  if constexpr (!std::is_integral_v<T>) {
-    (void)lanes;
-    (void)in;
-    (void)n;
-    (void)out;
-    return false;
-  } else {
-    if (nlanes != 4 && nlanes != 8) return false;
-    const PolyphaseFirDecimator& l0 = *lanes[0];
-    for (int l = 1; l < nlanes; ++l) {
-      const PolyphaseFirDecimator& ll = *lanes[l];
-      // rev_taps_ equality covers both length and values; rotor lockstep keeps
-      // the output instants aligned across lanes.
-      if (ll.decimation_ != l0.decimation_ || ll.rotor_ != l0.rotor_ ||
-          ll.rev_taps_ != l0.rev_taps_)
-        return false;
-    }
-    if (!packed_tier_available(nlanes)) return false;
-    if (n == 0) return true;
-
-    const std::size_t ntaps = l0.total_taps_;
-    const int d = l0.decimation_;
-    const int phase0 = l0.rotor_;  // first output at window index d-1-rotor
-    const std::vector<std::int64_t>* windows[8];
-    bool narrow_ok = true;
-    for (int l = 0; l < nlanes; ++l) {
-      PolyphaseFirDecimator& lane = *lanes[l];
-      narrow_ok = lane.load_flat_window(std::span(in[l], n)) && narrow_ok;
-      windows[l] = &lane.window_;
-    }
-    packed_dot_outputs(l0.rev_taps_.data(), ntaps, windows, nlanes, n, d, phase0,
-                       narrow_ok, out);
-    // Per-lane commutator ring maintenance -- the stores the serial block path
-    // performs between dots, minus the dots themselves.
-    for (int l = 0; l < nlanes; ++l) {
-      PolyphaseFirDecimator& lane = *lanes[l];
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto p = static_cast<std::size_t>(lane.decimation_ - 1 - lane.rotor_);
-        auto& hist = lane.histories_[p];
-        auto& head = lane.heads_[p];
-        hist[head] = in[l][i];
-        head = head + 1 == hist.size() ? 0 : head + 1;
-        if (++lane.rotor_ == lane.decimation_) lane.rotor_ = 0;
-      }
-    }
-    return true;
   }
 }
 

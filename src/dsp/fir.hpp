@@ -75,20 +75,6 @@ class FirDecimator {
   /// Multiplications per *output* sample.
   [[nodiscard]] std::size_t macs_per_output() const { return taps_.size(); }
 
-  /// Cross-channel packed kernel: advances `nlanes` (4 or 8) independent
-  /// decimators in lockstep, computing every lane's outputs through the
-  /// multi-lane SIMD dot kernels over ONE lane-interleaved window -- the
-  /// shared tap broadcast amortises across all lanes (simd::dot_i64_x4/x8).
-  /// Requires all lanes to share tap *values*, decimation and phase; declines
-  /// (returns false, no state touched) otherwise, or when the SIMD tier for
-  /// the lane count is unavailable (4 needs the AVX2 build + kill switch on,
-  /// 8 needs the runtime AVX-512 tier).  Bit-exact with nlanes process_block
-  /// calls -- the same contract as CicDecimator::process_block_packed4.
-  /// Integer instantiations only; the float one always declines.
-  static bool process_block_packed(FirDecimator* const lanes[], int nlanes,
-                                   const T* const in[], std::size_t n,
-                                   std::vector<T>* const out[]);
-
  private:
   std::vector<T> taps_;
   std::vector<T> history_;
@@ -131,19 +117,7 @@ class PolyphaseFirDecimator {
   /// (exposed so the Figure 3 bench can trace the commutator).
   [[nodiscard]] int next_phase() const { return decimation_ - 1 - rotor_; }
 
-  /// Cross-channel packed kernel; see FirDecimator::process_block_packed for
-  /// the contract.  The per-phase rings stay state-exact via the commutator
-  /// stores while all lanes' MACs run packed over the interleaved flat
-  /// windows.
-  static bool process_block_packed(PolyphaseFirDecimator* const lanes[],
-                                   int nlanes, const T* const in[], std::size_t n,
-                                   std::vector<T>* const out[]);
-
  private:
-  /// Integer block paths: materialises the flat [past | in] window in
-  /// `window_` (reconstructing past samples from the per-phase rings) and
-  /// returns whether the SIMD narrow-multiply precondition holds.
-  bool load_flat_window(std::span<const T> in);
   std::vector<std::vector<T>> phases_;     // phase p -> e_p[j]
   std::vector<std::vector<T>> histories_;  // phase p -> its delay line (ring)
   std::vector<std::size_t> heads_;

@@ -240,30 +240,45 @@ Gc4016Config four_channels(Gc4016Config::Combine combine) {
 }
 
 TEST(Gc4016, BlockPathMatchesPushPathAcrossChannels) {
-  for (auto combine :
-       {Gc4016Config::Combine::kMultiplex, Gc4016Config::Combine::kAdd}) {
-    const auto cfg = four_channels(combine);
-    const auto input = four_channel_stimulus(cfg, 4096);
+  // Two chips.  With mixed CIC decimations the block-path merge has to
+  // interleave output instants exactly like push() does.  With one shared
+  // decimation the four channels form a packed quad on AVX2 and AVX-512
+  // builds: their CIC5 cascades run as lanes and the direct-form CFIR/PFIR
+  // tails run per lane.
+  auto packed = four_channels(Gc4016Config::Combine::kMultiplex);
+  for (auto& ch : packed.channels) ch.cic_decimation = 16;
+  for (Gc4016Config cfg :
+       {four_channels(Gc4016Config::Combine::kMultiplex), packed}) {
+    SCOPED_TRACE(cfg.channels[0].cic_decimation == cfg.channels[1].cic_decimation
+                     ? "one decimation"
+                     : "mixed decimations");
+    for (auto combine :
+         {Gc4016Config::Combine::kMultiplex, Gc4016Config::Combine::kAdd}) {
+      SCOPED_TRACE(combine == Gc4016Config::Combine::kAdd ? "add" : "multiplex");
+      cfg.combine = combine;
+      // The second block spans two of the bank's 8192-sample cache tiles.
+      const auto input = four_channel_stimulus(cfg, 12000);
 
-    Gc4016 by_push(cfg);
-    std::vector<Gc4016Output> want;
-    for (std::int64_t x : input)
-      for (const auto& o : by_push.push(x)) want.push_back(o);
+      Gc4016 by_push(cfg);
+      std::vector<Gc4016Output> want;
+      for (std::int64_t x : input)
+        for (const auto& o : by_push.push(x)) want.push_back(o);
 
-    Gc4016 by_block(cfg);
-    std::vector<Gc4016Output> got;
-    // Two blocks: the merge must resume mid-revolution across the seam.
-    const std::size_t cut = 1000;
-    by_block.process_block(std::span<const std::int64_t>(input.data(), cut), got);
-    by_block.process_block(
-        std::span<const std::int64_t>(input.data() + cut, input.size() - cut), got);
+      Gc4016 by_block(cfg);
+      std::vector<Gc4016Output> got;
+      // Two blocks: the merge must resume mid-revolution across the seam,
+      // which also falls mid-way through a CIC decimation.
+      const std::size_t cut = 1000;
+      by_block.process_block(std::span<const std::int64_t>(input.data(), cut), got);
+      by_block.process_block(
+          std::span<const std::int64_t>(input.data() + cut, input.size() - cut), got);
 
-    ASSERT_EQ(got.size(), want.size())
-        << (combine == Gc4016Config::Combine::kAdd ? "add" : "multiplex");
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_EQ(got[k].channel, want[k].channel) << "k=" << k;
-      ASSERT_EQ(got[k].i, want[k].i) << "k=" << k;
-      ASSERT_EQ(got[k].q, want[k].q) << "k=" << k;
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(got[k].channel, want[k].channel) << "k=" << k;
+        ASSERT_EQ(got[k].i, want[k].i) << "k=" << k;
+        ASSERT_EQ(got[k].q, want[k].q) << "k=" << k;
+      }
     }
   }
 }

@@ -153,6 +153,42 @@ TEST_F(TraceFixture, NameSetWhileDisabledIsRegisteredOnFirstEmit) {
   EXPECT_EQ(it->second, "named-while-off");
 }
 
+TEST_F(TraceFixture, ResetForgetsExitedThreadsButKeepsLiveOnes) {
+  // Once a thread exits, only the registry owns its ring; reset() frees
+  // that ring together with the thread's name, so a process that keeps
+  // spawning threads does not keep their names (or 2 MiB rings) forever.
+  set_enabled(kAllCategories);
+  const std::uint16_t name = intern("forget");
+  std::thread([name] {
+    set_thread_name("exited");
+    instant(Category::kStream, name, 1, 0);
+  }).join();
+
+  std::atomic<bool> emitted{false};
+  std::atomic<bool> release{false};
+  std::thread live([&emitted, &release, name] {
+    set_thread_name("live");
+    instant(Category::kStream, name, 2, 0);
+    emitted.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!emitted.load()) std::this_thread::yield();
+
+  const auto named = [](const Snapshot& snap, const std::string& tname) {
+    return std::any_of(snap.threads.begin(), snap.threads.end(),
+                       [&tname](const auto& t) { return t.second == tname; });
+  };
+  const Snapshot before = snapshot();
+  EXPECT_TRUE(named(before, "exited"));
+  EXPECT_TRUE(named(before, "live"));
+  reset();
+  const Snapshot after = snapshot();
+  EXPECT_FALSE(named(after, "exited"));
+  EXPECT_TRUE(named(after, "live"));
+  release.store(true);
+  live.join();
+}
+
 TEST_F(TraceFixture, SpanRecordsDurationAndStartTime) {
   set_enabled(kAllCategories);
   const std::uint16_t name = intern("span");

@@ -381,14 +381,13 @@ TEST(ChannelBank, PackedRejectsOutOfRangeInputPerLane) {
   EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
 }
 
-// ------------------------------------------ FIR-tail packing & octet units
+// ------------------------------------------------------------ octet units
 //
-// PR 10 extends packing past the first CIC stage: whole FIR/polyphase tails
-// run through the multi-lane dot kernels, and on an active AVX-512 tier the
-// bank forms 8-channel octets instead of quads.  These tests pin the new
-// seams: octet remainder lanes, the AVX-512 runtime cap, the set_packing
-// knob, mid-stream kill-switch flips, and full-scale per-lane values (the
-// widest intermediates the packed tail's narrow_ok fallback must survive).
+// On an active AVX-512 tier the bank forms 8-channel octets instead of
+// quads.  These tests pin the unit seams: octet remainder lanes, the
+// AVX-512 runtime cap, the set_packing knob, mid-stream kill-switch flips,
+// and full-scale per-lane values (the widest intermediates a packed unit's
+// per-lane FIR tail must carry through its narrow_ok fallback).
 
 TEST(ChannelBank, PackedOctetsWithRemainderLanesMatchSolo) {
   // 11 channels: one octet + 3 singles on an active AVX-512 tier, two quads
