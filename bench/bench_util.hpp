@@ -104,9 +104,10 @@ inline JsonLine kernel_json(const std::string& bench, const std::string& kernel,
 
 /// A multi-channel batch measurement: `aggregate` counts channel-samples
 /// (inputs x channels) per second; `scaling_vs_single` is aggregate relative
-/// to the measured one-channel single-worker rate.
+/// to the measured one-channel rate.  The bank is single-threaded; the
+/// "workers": 1 key stays so the trajectory lines up with older records.
 inline JsonLine channel_bank_json(const std::string& bench, const std::string& chain,
-                                  std::size_t channels, int workers,
+                                  std::size_t channels,
                                   const Throughput& aggregate,
                                   double single_channel_msamples_per_s,
                                   std::size_t block_samples) {
@@ -114,7 +115,7 @@ inline JsonLine channel_bank_json(const std::string& bench, const std::string& c
   j.field("bench", bench)
       .field("chain", chain)
       .field("channels", channels)
-      .field("workers", static_cast<std::size_t>(workers))
+      .field("workers", std::size_t{1})
       .field("aggregate_msamples_per_s", aggregate.msamples_per_s())
       .field("per_channel_msamples_per_s",
              aggregate.msamples_per_s() / static_cast<double>(channels))

@@ -13,7 +13,7 @@
 //    "speedup_block_over_push": ..., "block_samples": ..., "simd": "avx2"}
 //   {"bench": "throughput_pipeline", "kernel": "cic2", ...}
 //   {"bench": "throughput_pipeline", "chain": "channel_bank:figure1",
-//    "channels": 8, "workers": 2, "aggregate_msamples_per_s": ...,
+//    "channels": 8, "workers": 1, "aggregate_msamples_per_s": ...,
 //    "scaling_vs_single": ...}
 //   {"bench": "throughput_pipeline", "chain": "stream_engine:figure1",
 //    "sessions": 16, "workers": 4, "aggregate_msamples_per_s": ...,
@@ -374,64 +374,12 @@ void bench_backends() {
 
 // ------------------------------------------------------- multi-channel bank
 
-// Skewed decimation mix (the work-stealing acceptance case): channels whose
-// per-sample and per-output costs differ wildly, so a static shard idles
-// most of a pool while one worker grinds.  The tile chains rebalance by
-// stealing; this line is where that win lands in the trajectory:
-//   {"bench": "throughput_pipeline", "chain": "channel_bank:skewed",
-//    "channels": 9, "workers": N, "aggregate_msamples_per_s": ...,
-//    "scaling_vs_single": ...}   (scaling is vs the serial skewed run)
-
-void bench_channel_bank_skewed() {
-  const auto spec = DatapathSpec::wide16();
-  auto light = DdcConfig::reference(10.0e6);
-  auto heavy = light;
-  heavy.cic2_decimation = 64;
-  heavy.cic5_decimation = 42;
-  heavy.fir_decimation = 16;  // decimation 43008: few outputs, long CIC
-  auto mid = light;
-  mid.cic2_decimation = 8;
-  mid.fir_decimation = 4;  // decimation 672: output-heavy, FIR-bound
-  std::vector<ChainPlan> plans;
-  for (int c = 0; c < 3; ++c) {
-    auto l = light;
-    l.nco_freq_hz += 25.0e3 * c;
-    plans.push_back(ChainPlan::figure1(l, spec));
-    plans.push_back(ChainPlan::figure1(heavy, spec));
-    plans.push_back(ChainPlan::figure1(mid, spec));
-  }
-  const auto input = figure1_stimulus(light, 2688 * 64);
-  const int hw = std::max(2u, std::thread::hardware_concurrency());
-
-  double serial_rate = 0.0;
-  for (int workers : {1, hw}) {
-    ChannelBank bank(plans, workers);
-    std::vector<std::vector<IqSample>> planar;
-    const std::size_t channel_samples = input.size() * plans.size();
-    const Throughput t = measure_throughput(channel_samples, [&] {
-      for (auto& p : planar) p.clear();
-      bank.process_block(input, planar);
-    });
-    if (workers == 1) serial_rate = t.msamples_per_s();
-    twiddc::benchutil::emit(
-        "channel_bank:skewed",
-        twiddc::benchutil::channel_bank_json("throughput_pipeline",
-                                             "channel_bank:skewed", plans.size(),
-                                             workers, t, serial_rate, input.size())
-            .field("simd", twiddc::simd::isa_name()));
-  }
-}
-
 void bench_channel_bank() {
   const auto cfg = DdcConfig::reference(10.0e6);
   const auto spec = DatapathSpec::wide16();
-  // Larger blocks than the single-chain bench: sharded mode amortises one
-  // pool wake per block, and realistic batch serving hands the bank multi-
-  // millisecond chunks.
+  // Larger blocks than the single-chain bench: realistic batch serving
+  // hands the bank multi-millisecond chunks.
   const auto input = figure1_stimulus(cfg, 2688 * 64);
-  // At least 2 so a sharded line always exists (the CI gate reads it), even
-  // on hosts where hardware_concurrency() reports 1 or 0.
-  const int hw = std::max(2u, std::thread::hardware_concurrency());
 
   double single_rate = 0.0;
   for (std::size_t channels : {1u, 2u, 4u, 8u}) {
@@ -442,24 +390,20 @@ void bench_channel_bank() {
       ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(c);
       plans.push_back(ChainPlan::figure1(ch_cfg, spec));
     }
-    for (int workers : {1, hw}) {
-      if (workers != 1 && channels == 1) continue;
-      ChannelBank bank(plans, workers);
-      std::vector<std::vector<IqSample>> planar;
-      const std::size_t channel_samples = input.size() * channels;
-      const Throughput t = measure_throughput(channel_samples, [&] {
-        for (auto& p : planar) p.clear();
-        bank.process_block(input, planar);
-      });
-      if (channels == 1 && workers == 1) single_rate = t.msamples_per_s();
-      twiddc::benchutil::emit(
-          "channel_bank:figure1",
-          twiddc::benchutil::channel_bank_json("throughput_pipeline",
-                                               "channel_bank:figure1", channels,
-                                               workers, t, single_rate,
-                                               input.size())
-              .field("simd", twiddc::simd::isa_name()));
-    }
+    ChannelBank bank(plans);
+    std::vector<std::vector<IqSample>> planar;
+    const std::size_t channel_samples = input.size() * channels;
+    const Throughput t = measure_throughput(channel_samples, [&] {
+      for (auto& p : planar) p.clear();
+      bank.process_block(input, planar);
+    });
+    if (channels == 1) single_rate = t.msamples_per_s();
+    twiddc::benchutil::emit(
+        "channel_bank:figure1",
+        twiddc::benchutil::channel_bank_json("throughput_pipeline",
+                                             "channel_bank:figure1", channels, t,
+                                             single_rate, input.size())
+            .field("simd", twiddc::simd::isa_name()));
   }
 }
 
@@ -502,7 +446,7 @@ void bench_packed_fir() {
     double rate[2] = {0.0, 0.0};
     std::vector<std::vector<IqSample>> out[2];
     for (const bool packed : {false, true}) {
-      ChannelBank bank(plans, /*workers=*/1);
+      ChannelBank bank(plans);
       bank.set_packing(packed);
       std::vector<std::vector<IqSample>> planar;
       const std::size_t channel_samples = input.size() * kChannels;
@@ -513,7 +457,7 @@ void bench_packed_fir() {
       rate[packed ? 1 : 0] = t.msamples_per_s();
       // Fresh bank for the bit-exactness capture: the timed reps above left
       // settled ring history behind.
-      ChannelBank check(plans, /*workers=*/1);
+      ChannelBank check(plans);
       check.set_packing(packed);
       check.process_block(input, out[packed ? 1 : 0]);
     }
@@ -801,7 +745,6 @@ int main(int argc, char** argv) {
       {"kernel:fir125", bench_kernel_fir125},
       {"backends", bench_backends},
       {"channel_bank:figure1", bench_channel_bank},
-      {"channel_bank:skewed", bench_channel_bank_skewed},
       {"stream_engine:figure1", bench_stream_sessions},
       {"stream_engine:overload", bench_stream_overload},
       {"stream_engine:trace", bench_stream_trace_overhead},

@@ -118,8 +118,7 @@ class Gc4016Channel {
 };
 
 /// The quad chip.  The four channels are slots of one core::ChannelBank, so
-/// the chip-level block path is a shared-input batch pass (optionally
-/// sharded across worker threads).
+/// the chip-level block path is a shared-input batch pass.
 class Gc4016 {
  public:
   explicit Gc4016(const Gc4016Config& config);
@@ -141,9 +140,6 @@ class Gc4016 {
   /// push()'s time order (and kAdd's summing of simultaneous outputs).
   /// Bit-exact with a push() loop.
   void process_block(std::span<const std::int64_t> in, std::vector<Gc4016Output>& out);
-
-  /// Worker threads used by process_block to shard channels (default 1).
-  void set_workers(int workers) { bank_.set_workers(workers); }
 
   void reset();
 

@@ -10,9 +10,8 @@ namespace {
 
 constexpr trace::Category kTraceCat = trace::Category::kSched;
 
-// Worker identity for submit_local()/yield()/current_worker_index().  Keyed
-// by scheduler pointer so nested schedulers (a ChannelBank running inside a
-// StreamEngine worker task) resolve to their own queues.
+// Worker identity for yield()/current_worker_index().  Keyed by scheduler
+// pointer, so a worker of one scheduler is no worker of another.
 thread_local TaskScheduler* tls_scheduler = nullptr;
 thread_local int tls_worker = -1;
 
@@ -148,26 +147,12 @@ void TaskScheduler::submit_to(int w, Task t) {
   // ...unless the target is stuck inside a task, in which case the new
   // inbox entry is stealable and a parked sibling may as well come get it.
   if (target.running.load(std::memory_order_seq_cst)) maybe_wake_sleeper();
-  note_activity();
 }
 
 void TaskScheduler::submit(Task t) {
   submit_to(static_cast<int>(round_robin_.fetch_add(
                 1, std::memory_order_relaxed)),
             std::move(t));
-}
-
-void TaskScheduler::submit_local(Task t) {
-  if (stop_.load(std::memory_order_acquire)) return;  // shutting down: drop
-  const int w = current_worker_index();
-  if (w < 0) {
-    submit(std::move(t));
-    return;
-  }
-  workers_[static_cast<std::size_t>(w)]->deque.push_bottom(
-      new TaskNode{std::move(t)});
-  maybe_wake_sleeper();
-  note_activity();
 }
 
 void TaskScheduler::yield(Task t) {
@@ -187,17 +172,14 @@ int TaskScheduler::current_worker_index() const {
 
 void TaskScheduler::run_node(TaskNode* n) {
   executed_.fetch_add(1, std::memory_order_relaxed);
-  // Tasks own their error handling (Group::fail, Session::record_failure);
-  // an escape here would otherwise take the whole process down via the
-  // noexcept thread trampoline.
+  // Tasks own their error handling (Session::record_failure); an escape
+  // here would otherwise take the whole process down via the noexcept
+  // thread trampoline.
   try {
     n->fn();
   } catch (...) {
   }
   delete n;
-  // After, not during: a completion this task performed is now visible, so
-  // a parked external waiter re-checks done() (and the deques) right away.
-  note_activity();
 }
 
 std::size_t TaskScheduler::drain_inbox(Worker& me) {
@@ -212,26 +194,23 @@ std::size_t TaskScheduler::drain_inbox(Worker& me) {
   for (auto it = batch.rbegin(); it != batch.rend(); ++it)
     me.deque.push_bottom(*it);
   if (batch.size() > 1) maybe_wake_sleeper();  // surplus is stealable
-  if (!batch.empty()) note_activity();
   return batch.size();
 }
 
 TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
   const std::size_t n = workers_.size();
   // Rotate the first victim so concurrent thieves spread out.
-  const std::size_t start =
-      self >= 0 ? static_cast<std::size_t>(self) + 1
-                : round_robin_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t start = static_cast<std::size_t>(self) + 1;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t v = (start + k) % n;
     if (static_cast<int>(v) == self) continue;
     if (TaskNode* node = workers_[v]->deque.steal_top()) {
       stolen_.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled(kTraceCat)) {
-        // arg0 = victim, arg1 = thief + 1 (0 = external fork-join waiter).
+        // arg0 = victim, arg1 = thief.
         static const std::uint16_t kName = trace::intern("steal");
         trace::emit(kTraceCat, kName, trace::Phase::kInstant, v,
-                    static_cast<std::uint64_t>(self + 1));
+                    static_cast<std::uint64_t>(self));
       }
       return node;
     }
@@ -239,21 +218,13 @@ TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
   // Deques are dry everywhere.
   // A BUSY victim's inbox is work too: a worker drains its own inbox only
   // when its deque runs dry, so without this sweep a batch queued behind a
-  // grinding worker (e.g. a second tile chain behind a long one) would be
+  // grinding worker (e.g. a session queued behind a long one) would be
   // pinned there while everyone else idles -- the static-shard pathology
   // this scheduler exists to kill.  Gated on the victim being inside a
   // task: an idle victim was already woken by its submitter and will drain
   // the inbox itself momentarily (and the gate keeps targeted submission
   // to a quiet worker deterministic).  FIFO take, so stealing never
-  // reorders a victim's round.  WORKER thieves only: an external waiter
-  // pulling from an inbox would run yielded actors out of their
-  // batch-cyclic round and break the fairness guarantee -- and the
-  // fork-join pattern it serves publishes all its work before wait(), so
-  // those chains reach the deque (where it may steal) in one drain.
-  if (self < 0) {
-    steal_failures_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+  // reorders a victim's round.
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t v = (start + k) % n;
     if (static_cast<int>(v) == self) continue;
@@ -269,7 +240,7 @@ TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
     if (trace::enabled(kTraceCat)) {
       static const std::uint16_t kName = trace::intern("steal_inbox");
       trace::emit(kTraceCat, kName, trace::Phase::kInstant, v,
-                  static_cast<std::uint64_t>(self + 1));
+                  static_cast<std::uint64_t>(self));
     }
     return node;
   }
@@ -296,16 +267,6 @@ void TaskScheduler::maybe_wake_sleeper() {
       return;
     }
   }
-}
-
-void TaskScheduler::note_activity() {
-  // Publish/park handshake mirrors the worker Dekker: the waiter registers
-  // in ext_waiters_ (seq_cst) before its steal sweep, so a producer either
-  // sees the registration here and bumps, or its work is visible to that
-  // sweep.  No registered waiter, no futex syscall.
-  if (ext_waiters_.load(std::memory_order_seq_cst) == 0) return;
-  activity_.fetch_add(1, std::memory_order_seq_cst);
-  activity_.notify_all();
 }
 
 bool TaskScheduler::any_work_visible(const Worker& me) const {
@@ -352,28 +313,6 @@ void TaskScheduler::worker_loop(int w) {
     me.sleeping.store(false, std::memory_order_seq_cst);
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
-}
-
-// ------------------------------------------------------------- fork-join
-
-void TaskScheduler::wait(const Group& group) {
-  ext_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  while (!group.done()) {
-    const std::uint32_t token = activity_.load(std::memory_order_seq_cst);
-    if (TaskNode* n = try_steal(-1)) {
-      run_node(n);
-      continue;
-    }
-    if (group.done()) break;
-    // Parked on the scheduler-wide activity eventcount, not the group:
-    // freshly stealable deque work (a chain link, a drained batch) must
-    // wake this thread too, or the fork-join caller contributes nothing
-    // until a whole chain completes.  Any publish or task retirement
-    // between the token read and here bumps it, so the wait returns
-    // immediately rather than sleeping through the transition.
-    activity_.wait(token, std::memory_order_seq_cst);
-  }
-  ext_waiters_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 }  // namespace twiddc::common

@@ -13,8 +13,8 @@
 //   * targeted wakeups: one eventcount per worker; submit_to(w, task) bumps
 //     only worker w -- nobody else leaves their futex;
 //   * work stealing: a worker that runs dry sweeps the other deques top-
-//     first, so skewed task sets (one heavy channel, one hot session)
-//     rebalance instead of stalling a static shard;
+//     first, so skewed task sets (one hot session) rebalance instead of
+//     stalling a static shard;
 //   * batch-cyclic fairness: a worker drains its inbox only when its deque
 //     is empty, so every task submitted in batch k runs before anything a
 //     batch-k task re-submitted via yield() -- N actors on one worker each
@@ -24,18 +24,13 @@
 //     every worker is either running, stealing or parked in the one Dekker
 //     park protocol below.
 //
-// Two clients, two idioms:
-//   core::ChannelBank   fork-join: submit one chained tile task per channel
-//                       with a Group, then wait(group) -- the caller steals
-//                       and executes alongside the workers;
-//   stream::StreamEngine actors: each session is scheduled as a task on its
-//                       home worker; a stolen task migrates the session.
+// The client is stream::StreamEngine: each session is an actor scheduled
+// as a task on its home worker, and a stolen task migrates the session.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -63,60 +58,6 @@ class TaskScheduler {
     bool sleeping = false;
   };
 
-  /// Fork-join completion tracker.  expect() the task count, have each task
-  /// call complete() (or fail() with its exception) exactly once, then
-  /// wait() on the owning scheduler.  The first recorded exception is
-  /// rethrown by rethrow_if_error().
-  ///
-  /// A Group is a copyable HANDLE over shared state: tasks must capture
-  /// their Group BY VALUE, so the state outlives a waiter that saw done()
-  /// and unwound while the final completer is still inside complete() --
-  /// the value capture, not the caller's handle, keeps it alive.
-  class Group {
-   public:
-    Group() : state_(std::make_shared<State>()) {}
-
-    void expect(std::size_t n) const {
-      state_->pending.fetch_add(n, std::memory_order_seq_cst);
-    }
-    void complete() const {
-      // seq_cst so a wait()er whose park/recheck handshake runs on the
-      // scheduler's seq_cst activity counter cannot miss the final
-      // decrement.  Completions are assumed to happen inside this
-      // scheduler's tasks (every internal client does); a completion from
-      // a foreign thread must be followed by a submit, or wait() may not
-      // notice it until other activity occurs.
-      state_->pending.fetch_sub(1, std::memory_order_seq_cst);
-    }
-    void fail(std::exception_ptr e) const {
-      {
-        std::lock_guard<std::mutex> lock(state_->err_mu);
-        if (!state_->error) state_->error = std::move(e);
-      }
-      complete();
-    }
-    [[nodiscard]] bool done() const {
-      return state_->pending.load(std::memory_order_acquire) == 0;
-    }
-    void rethrow_if_error() const {
-      std::lock_guard<std::mutex> lock(state_->err_mu);
-      if (state_->error) {
-        std::exception_ptr e = std::move(state_->error);
-        state_->error = nullptr;
-        std::rethrow_exception(e);
-      }
-    }
-
-   private:
-    friend class TaskScheduler;
-    struct State {
-      std::atomic<std::size_t> pending{0};
-      std::mutex err_mu;
-      std::exception_ptr error;  // guarded by err_mu
-    };
-    std::shared_ptr<State> state_;
-  };
-
   /// Spawns `threads` persistent worker threads (clamped to >= 1).  The
   /// count is fixed for the scheduler's lifetime.
   explicit TaskScheduler(int threads);
@@ -125,14 +66,13 @@ class TaskScheduler {
   /// checks the stop flag only when it runs dry), but submissions that
   /// arrive after shutdown began are dropped -- so a self-resubmitting
   /// task terminates, and anything it re-queued late is destroyed unrun.
-  /// Clients that need a completion guarantee must wait() on a Group
-  /// first; clients whose tasks must not do real work during teardown
-  /// must gate them on their own stop flag (StreamEngine does).
+  /// Clients whose tasks must not do real work during teardown must gate
+  /// them on their own stop flag (StreamEngine does).
   ///
   /// As with any C++ object, EXTERNAL threads must not race submit_to()
   /// against destruction itself -- the in-flight-submission "drop"
-  /// guarantee covers worker-originated submissions (chains, yields),
-  /// which the destructor's join inherently serializes with.
+  /// guarantee covers worker-originated submissions (yields), which the
+  /// destructor's join inherently serializes with.
   ~TaskScheduler();
 
   /// Stops the workers and joins them (the first half of destruction;
@@ -158,12 +98,6 @@ class TaskScheduler {
   /// submit_to with a rotating target -- distributes unpinned work.
   void submit(Task t);
 
-  /// Pushes `t` on the calling worker's own deque bottom: it runs next on
-  /// this worker (LIFO, cache-hot) unless a thief takes it first.  The
-  /// continuation idiom for chained tasks.  Falls back to submit() when the
-  /// caller is not one of this scheduler's workers.
-  void submit_local(Task t);
-
   /// Re-queues `t` behind every task currently runnable on this worker (own
   /// inbox): the yield idiom for cooperative actors that exhausted their
   /// fairness quantum.  Falls back to submit() off-worker.
@@ -171,11 +105,6 @@ class TaskScheduler {
 
   /// Index of the calling thread within THIS scheduler, or -1.
   [[nodiscard]] int current_worker_index() const;
-
-  /// Blocks until group.done(), stealing and executing queued tasks from
-  /// the workers' deques while it waits (the fork-join caller works too).
-  /// Does not rethrow -- call group.rethrow_if_error() after.
-  void wait(const Group& group);
 
   [[nodiscard]] Stats stats() const {
     Stats s;
@@ -264,19 +193,15 @@ class TaskScheduler {
 
   void worker_loop(int w);
   void run_node(TaskNode* n);
-  /// Wakes parked external wait()ers (if any): called whenever stealable
-  /// work is published and after every task retires -- a group completion
-  /// happens inside its task, so this doubles as the completion signal.
-  void note_activity();
   /// Moves the whole inbox into the deque (reversed, so bottom pops come
   /// out FIFO).  Returns the number of tasks moved.
   std::size_t drain_inbox(Worker& me);
-  /// One sweep over the other workers' deque tops.  `self` may be -1 (an
-  /// external fork-join waiter).
+  /// One sweep over the other workers' deque tops, then over the inboxes of
+  /// workers stuck inside a task.
   TaskNode* try_steal(int self);
   void wake_worker(Worker& w);
   /// If anyone is parked, wake one sleeper so freshly stealable deque work
-  /// (a chain push, a drained batch) is not serialised on its owner.
+  /// (a drained batch) is not serialised on its owner.
   void maybe_wake_sleeper();
   [[nodiscard]] bool any_work_visible(const Worker& me) const;
 
@@ -284,12 +209,6 @@ class TaskScheduler {
   std::atomic<std::uint32_t> round_robin_{0};
   std::atomic<bool> stop_{false};
   std::atomic<int> sleepers_{0};
-  /// Eventcount external fork-join waiters park on; bumped by
-  /// note_activity() only while ext_waiters_ says someone is parked, so a
-  /// waiter sleeping through freshly stealable deque work (which the
-  /// per-worker wakeups cannot reach) is impossible.
-  std::atomic<std::uint32_t> activity_{0};
-  std::atomic<int> ext_waiters_{0};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> wakeups_{0};

@@ -1,7 +1,6 @@
 #include "src/core/channel_bank.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <map>
 #include <string>
 #include <tuple>
@@ -16,32 +15,15 @@ namespace {
 // Channels are advanced tile by tile so each channel's per-block scratch
 // (mixer planar buffers, rail ping-pong buffers) stays cache-resident
 // instead of streaming a full block's worth per channel.  Pipelines are
-// streaming-composable, so tiling is bit-exact with one monolithic call --
-// and a tile is also the stealable unit: between tiles a channel's
-// continuation sits in a scheduler deque where an idle worker can claim it.
+// streaming-composable, so tiling is bit-exact with one monolithic call.
 constexpr std::size_t kTileSamples = 8192;
 }  // namespace
 
-ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans, int workers) {
+ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans) {
   if (plans.empty()) throw ConfigError("ChannelBank: needs at least one plan");
   channels_.reserve(plans.size());
   for (const auto& plan : plans) channels_.emplace_back(plan);
   enabled_.assign(channels_.size(), 1);
-  set_workers(workers);
-}
-
-ChannelBank::~ChannelBank() = default;
-ChannelBank::ChannelBank(ChannelBank&&) noexcept = default;
-ChannelBank& ChannelBank::operator=(ChannelBank&&) noexcept = default;
-
-void ChannelBank::set_workers(int workers) {
-  workers_ = std::clamp(workers, 1, static_cast<int>(channels_.size()));
-  // The scheduler holds workers_-1 threads; the calling thread participates
-  // in every process_block via the fork-join steal loop.
-  const int pool_size = workers_ - 1;
-  if (sched_ && sched_->workers() != pool_size) sched_.reset();
-  if (!sched_ && pool_size > 0)
-    sched_ = std::make_unique<common::TaskScheduler>(pool_size);
 }
 
 bool ChannelBank::packable(std::size_t c) {
@@ -99,33 +81,15 @@ std::vector<ChannelBank::Unit> ChannelBank::make_units() {
       units.push_back(Unit{{chs[i], chs[i + 1], chs[i + 2], chs[i + 3]}, 4});
     for (; i < chs.size(); ++i) units.push_back(Unit{{chs[i]}, 1});
   }
-  // Submit in channel order, not group-key order: scheduling (and therefore
-  // the work-stealing interleave the bank's tests pin down) stays identical
-  // to the pre-packing per-channel path whenever no quad forms.
-  std::sort(units.begin(), units.end(),
-            [](const Unit& a, const Unit& b) { return a.ch[0] < b.ch[0]; });
   return units;
 }
 
 void ChannelBank::run_packed_tile(const Unit& unit,
                                   std::span<const std::int64_t> tile,
-                                  std::vector<std::vector<IqSample>>& out,
-                                  PackScratch& s) {
+                                  std::vector<std::vector<IqSample>>& out) {
+  PackScratch& s = scratch_;
   const std::size_t m = tile.size();
   const int L = unit.lanes;
-  // Same all-or-nothing contract as DdcPipeline::process_block: range-check
-  // the tile against every lane's input width before any state advances.
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  simd::minmax_i64(tile.data(), m, lo, hi);
-  for (int l = 0; l < L; ++l) {
-    const int bits = channels_[unit.ch[l]].plan().front_end.input_bits;
-    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, bits) ? hi : lo;
-      throw SimulationError("ChannelBank: input " + std::to_string(bad) +
-                            " does not fit " + std::to_string(bits) + " bits");
-    }
-  }
 
   // Front end per lane: the NCO and mixer already vectorise along time
   // through the simd shim, so cross-channel packing buys nothing there.
@@ -200,115 +164,39 @@ void ChannelBank::run_packed_tile(const Unit& unit,
   }
 }
 
-void ChannelBank::run_tile_chain(std::span<const std::int64_t> in,
-                                 std::vector<IqSample>& out,
-                                 common::TaskScheduler::Group group,
-                                 std::size_t channel, std::size_t offset) {
-  try {
-    for (;;) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(offset, std::min(kTileSamples, in.size() - offset));
-      channels_[channel].process_block(tile, out);
-      offset += tile.size();
-      if (offset >= in.size()) {
-        group.complete();
-        return;
-      }
-      if (sched_ && sched_->current_worker_index() >= 0) {
-        // Publish the continuation instead of looping: the usual pop takes
-        // it right back (cache-hot LIFO), but while this worker is busy
-        // elsewhere an idle worker can steal the chain -- that migration is
-        // what keeps skewed decimations from stalling the block barrier.
-        sched_->submit_local([this, in, &out, group, channel, offset] {
-          run_tile_chain(in, out, group, channel, offset);
-        });
-        return;
-      }
-      // The fork-join caller has no deque; it keeps the chain inline.
-    }
-  } catch (...) {
-    group.fail(std::current_exception());
-  }
-}
-
-void ChannelBank::run_packed_chain(std::span<const std::int64_t> in,
-                                   std::vector<std::vector<IqSample>>& out,
-                                   common::TaskScheduler::Group group, Unit unit,
-                                   std::size_t offset, PackScratch* scratch) {
-  try {
-    for (;;) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(offset, std::min(kTileSamples, in.size() - offset));
-      run_packed_tile(unit, tile, out, *scratch);
-      offset += tile.size();
-      if (offset >= in.size()) {
-        group.complete();
-        return;
-      }
-      if (sched_ && sched_->current_worker_index() >= 0) {
-        sched_->submit_local([this, in, &out, group, unit, offset, scratch] {
-          run_packed_chain(in, out, group, unit, offset, scratch);
-        });
-        return;
-      }
-    }
-  } catch (...) {
-    group.fail(std::current_exception());
-  }
-}
-
 void ChannelBank::process_block(std::span<const std::int64_t> in,
                                 std::vector<std::vector<IqSample>>& out) {
   out.resize(channels_.size());
   if (in.empty()) return;
+  // Same all-or-nothing contract as DdcPipeline::process_block, over the
+  // whole block: a single channel's own check sees one tile at a time, so
+  // it would throw only after the earlier tiles had advanced every channel.
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  simd::minmax_i64(in.data(), in.size(), lo, hi);
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (!enabled_[c]) continue;
+    const int bits = channels_[c].plan().front_end.input_bits;
+    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits)) {
+      const std::int64_t bad = fixed::fits_bits(lo, bits) ? hi : lo;
+      throw SimulationError("ChannelBank: input " + std::to_string(bad) +
+                            " does not fit " + std::to_string(bits) + " bits");
+    }
+  }
+
+  // Tile-outer, unit-inner: every unit advances through tile t before any
+  // unit starts tile t+1.
   const std::vector<Unit> units = make_units();
-  if (units.empty()) return;
-
-  const auto n_workers =
-      static_cast<std::size_t>(std::min<int>(workers_, static_cast<int>(units.size())));
-  if (n_workers <= 1 || !sched_) {
-    // Serial mode: tile-outer, unit-inner -- every unit advances through
-    // tile t before any unit starts tile t+1.
-    PackScratch scratch;
-    for (std::size_t off = 0; off < in.size(); off += kTileSamples) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(off, std::min(kTileSamples, in.size() - off));
-      for (const Unit& u : units) {
-        if (u.lanes == 1)
-          channels_[u.ch[0]].process_block(tile, out[u.ch[0]]);
-        else
-          run_packed_tile(u, tile, out, scratch);
-      }
-    }
-    return;
-  }
-
-  // One tile chain per unit (single channel or packed quad), spread
-  // round-robin over the worker inboxes; the caller joins through wait(),
-  // stealing and executing chains alongside the pool.  Units touch disjoint
-  // channels and output vectors, so any steal-driven interleaving is
-  // bit-exact with serial execution; the only shared read is `in`.
-  std::vector<std::unique_ptr<PackScratch>> scratches;
-  for (const Unit& u : units)
-    if (u.lanes > 1) scratches.push_back(std::make_unique<PackScratch>());
-  common::TaskScheduler::Group group;
-  group.expect(units.size());
-  std::size_t si = 0;
-  for (std::size_t k = 0; k < units.size(); ++k) {
-    const Unit u = units[k];
-    if (u.lanes == 1) {
-      sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u] {
-        run_tile_chain(in, out[u.ch[0]], group, u.ch[0], 0);
-      });
-    } else {
-      PackScratch* scratch = scratches[si++].get();
-      sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u, scratch] {
-        run_packed_chain(in, out, group, u, 0, scratch);
-      });
+  for (std::size_t off = 0; off < in.size(); off += kTileSamples) {
+    const std::span<const std::int64_t> tile =
+        in.subspan(off, std::min(kTileSamples, in.size() - off));
+    for (const Unit& u : units) {
+      if (u.lanes == 1)
+        channels_[u.ch[0]].process_block(tile, out[u.ch[0]]);
+      else
+        run_packed_tile(u, tile, out);
     }
   }
-  sched_->wait(group);
-  group.rethrow_if_error();
 }
 
 std::vector<std::vector<IqSample>> ChannelBank::process(

@@ -6,21 +6,10 @@
 // channel), so a channel's stream is contiguous and the block pass touches
 // the shared input once per channel while it is hot in cache.
 //
-// Two execution modes:
-//   * workers == 1 (default): channels run back to back on the caller's
-//     thread -- deterministic, no synchronisation;
-//   * workers > 1: each enabled channel becomes a chain of cache-tile tasks
-//     on a persistent common::TaskScheduler (workers-1 threads; the calling
-//     thread steals and executes alongside them).  A channel's tiles run in
-//     order -- channels are sequential state machines -- but between tiles
-//     the continuation sits in a work-stealing deque, so skewed plans
-//     (channels with very different decimations) rebalance onto idle
-//     workers instead of stalling a static shard at the block barrier.
-//     Channels are fully independent, so any interleaving is bit-exact
-//     with serial execution.
-//
-// In both modes the block is walked in cache-sized tiles so per-channel
-// scratch buffers stay hot instead of streaming the full block per channel.
+// The bank runs on the caller's thread, deterministically and without
+// synchronisation.  The block is walked in cache-sized tiles, tile-outer and
+// channel-inner, so per-channel scratch buffers stay hot instead of
+// streaming the full block per channel.
 //
 // Cross-channel SIMD packing: channels whose first stage is a CIC with
 // identical geometry are grouped four (AVX2) or eight (AVX-512) at a time,
@@ -42,11 +31,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/common/task_scheduler.hpp"
 #include "src/core/pipeline.hpp"
 
 namespace twiddc::core {
@@ -55,12 +42,7 @@ class ChannelBank {
  public:
   /// Builds one pipeline per plan.  Throws ConfigError if any plan is
   /// invalid or the list is empty.
-  explicit ChannelBank(const std::vector<ChainPlan>& plans, int workers = 1);
-  ~ChannelBank();
-  ChannelBank(ChannelBank&&) noexcept;
-  ChannelBank& operator=(ChannelBank&&) noexcept;
-  ChannelBank(const ChannelBank&) = delete;
-  ChannelBank& operator=(const ChannelBank&) = delete;
+  explicit ChannelBank(const std::vector<ChainPlan>& plans);
 
   [[nodiscard]] std::size_t size() const { return channels_.size(); }
   [[nodiscard]] DdcPipeline& channel(std::size_t i) { return channels_.at(i); }
@@ -72,20 +54,12 @@ class ChannelBank {
   void set_enabled(std::size_t i, bool on) { enabled_.at(i) = on; }
   [[nodiscard]] bool enabled(std::size_t i) const { return enabled_.at(i); }
 
-  /// Worker threads used by process_block (clamped to [1, channels]).
-  void set_workers(int workers);
-  [[nodiscard]] int workers() const { return workers_; }
-
-  /// The bank's task scheduler (null in serial mode) -- exposed so tests
-  /// can assert that tile chains actually migrate between workers.
-  [[nodiscard]] const common::TaskScheduler* scheduler() const {
-    return sched_.get();
-  }
-
   /// Block hot path: runs every enabled channel over the shared input span.
   /// `out` is resized to size(); channel i's outputs are *appended* to
   /// out[i], so a caller can stream blocks into persistent planar buffers.
-  /// Bit-exact with calling each channel's process_block serially.
+  /// Bit-exact with calling each channel's process_block serially, down to
+  /// the all-or-nothing input check: a sample that does not fit an enabled
+  /// channel's input width throws before any channel advances.
   void process_block(std::span<const std::int64_t> in,
                      std::vector<std::vector<IqSample>>& out);
 
@@ -125,32 +99,16 @@ class ChannelBank {
   /// no observation taps anywhere on the channel).
   [[nodiscard]] bool packable(std::size_t c);
 
-  /// One link of a channel's tile chain: advances `channel` through the
-  /// tile at `offset`, then either re-submits itself (on a scheduler
-  /// worker: the continuation lands in the deque, where a thief can take
-  /// it) or keeps looping inline (the fork-join caller).  Completes /
-  /// fails `group` exactly once, at the channel's last tile.
-  void run_tile_chain(std::span<const std::int64_t> in,
-                      std::vector<IqSample>& out,
-                      common::TaskScheduler::Group group, std::size_t channel,
-                      std::size_t offset);
-  /// Packed analogue of run_tile_chain: advances a quad through one tile per
-  /// link, re-submitting the continuation between tiles.
-  void run_packed_chain(std::span<const std::int64_t> in,
-                        std::vector<std::vector<IqSample>>& out,
-                        common::TaskScheduler::Group group, Unit unit,
-                        std::size_t offset, PackScratch* scratch);
   /// Advances the group through one tile; bit-exact with running each lane's
-  /// DdcPipeline::process_block over the same tile.
+  /// DdcPipeline::process_block over the same tile.  process_block has
+  /// already range-checked the tile.
   void run_packed_tile(const Unit& unit, std::span<const std::int64_t> tile,
-                       std::vector<std::vector<IqSample>>& out,
-                       PackScratch& scratch);
+                       std::vector<std::vector<IqSample>>& out);
 
   std::vector<DdcPipeline> channels_;
   std::vector<char> enabled_;  // vector<bool> has no per-element data()
-  int workers_ = 1;
   bool packing_ = true;
-  std::unique_ptr<common::TaskScheduler> sched_;  // workers_ - 1 threads
+  PackScratch scratch_;  // run_packed_tile's tile buffers, reused per unit
 };
 
 }  // namespace twiddc::core

@@ -283,27 +283,6 @@ TEST(Gc4016, BlockPathMatchesPushPathAcrossChannels) {
   }
 }
 
-TEST(Gc4016, BlockPathShardedMatchesSerial) {
-  const auto cfg = four_channels(Gc4016Config::Combine::kMultiplex);
-  const auto input = four_channel_stimulus(cfg, 8192);
-
-  Gc4016 serial(cfg);
-  std::vector<Gc4016Output> want;
-  serial.process_block(input, want);
-
-  Gc4016 sharded(cfg);
-  sharded.set_workers(4);
-  std::vector<Gc4016Output> got;
-  sharded.process_block(input, got);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < want.size(); ++k) {
-    ASSERT_EQ(got[k].channel, want[k].channel) << "k=" << k;
-    ASSERT_EQ(got[k].i, want[k].i) << "k=" << k;
-    ASSERT_EQ(got[k].q, want[k].q) << "k=" << k;
-  }
-}
-
 TEST(Gc4016, DisabledChannelSkippedInBlockPath) {
   auto cfg = four_channels(Gc4016Config::Combine::kMultiplex);
   cfg.channels[2].enabled = false;

@@ -1,13 +1,18 @@
 // TaskScheduler: per-worker run queues, targeted submission, work stealing
-// off a busy worker's deque, batch-cyclic yield fairness, and fork-join
-// group semantics (completion + exception propagation).  Runs under TSan in
-// CI alongside the stream suite.
+// off a busy worker's queue, batch-cyclic yield fairness, and a worker that
+// survives a throwing task.  Runs under TSan in CI alongside the stream
+// suite.
+//
+// Every latch (and anything else a task touches) is declared before its
+// TaskScheduler: the scheduler's destructor joins the workers first, so a
+// task still queued when an assertion bails out never outlives its state.
 #include "src/common/task_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -17,31 +22,44 @@
 namespace twiddc::common {
 namespace {
 
+/// Polls `latch` for up to 30 s without executing anything itself; false on
+/// timeout, so a lost task fails the test instead of hanging it.
+bool wait_for(std::latch& latch) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!latch.try_wait()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(TaskScheduler, RunsEverySubmittedTask) {
-  TaskScheduler sched(3);
-  TaskScheduler::Group group;
-  std::atomic<int> ran{0};
   constexpr int kTasks = 200;
-  group.expect(kTasks);
+  std::latch done(kTasks);
+  std::atomic<int> ran{0};
+  TaskScheduler sched(3);
   for (int i = 0; i < kTasks; ++i)
-    sched.submit([&ran, group] {  // tasks hold the group BY VALUE (API rule)
+    sched.submit([&ran, &done] {
       ran.fetch_add(1, std::memory_order_relaxed);
-      group.complete();
+      done.count_down();
     });
-  sched.wait(group);
-  group.rethrow_if_error();
+  done.wait();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_GE(sched.stats().executed, static_cast<std::uint64_t>(kTasks));
 }
 
 TEST(TaskScheduler, TargetedSubmissionRunsOnTheTargetWorker) {
-  TaskScheduler sched(4);
+  constexpr int kWorkers = 4;
+  std::latch ran[kWorkers] = {std::latch(1), std::latch(1), std::latch(1),
+                              std::latch(1)};
+  int seen[kWorkers] = {-1, -1, -1, -1};
+  TaskScheduler sched(kWorkers);
   const auto all_parked = [&sched] {
     for (const auto& s : sched.worker_snapshot())
       if (!s.sleeping) return false;
     return true;
   };
-  for (int w = 0; w < 4; ++w) {
+  for (int w = 0; w < kWorkers; ++w) {
     // A worker still spinning down from the previous round (or from spawn)
     // is an idle thief: it can take the task off the target's deque between
     // the target's inbox drain and its pop.  Start each round quiet.
@@ -49,66 +67,50 @@ TEST(TaskScheduler, TargetedSubmissionRunsOnTheTargetWorker) {
     while (!all_parked() && std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_TRUE(all_parked());
-    TaskScheduler::Group group;
-    group.expect(1);
-    int seen = -1;
-    sched.submit_to(w, [&seen, &sched, group] {
-      seen = sched.current_worker_index();
-      group.complete();
-    });
     // No competing work anywhere, so nothing can steal the task before its
-    // home worker wakes; an external waiter's steal is the one exception --
-    // park instead of wait()ing so the task stays put.
-    while (!group.done() && std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_TRUE(group.done());
-    EXPECT_EQ(seen, w);
+    // home worker wakes.
+    sched.submit_to(w, [&sched, &ran, &seen, w] {
+      seen[w] = sched.current_worker_index();
+      ran[w].count_down();
+    });
+    ASSERT_TRUE(wait_for(ran[w]));
+    EXPECT_EQ(seen[w], w);
   }
   EXPECT_EQ(sched.current_worker_index(), -1);  // this thread is no worker
 }
 
 TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
-  TaskScheduler sched(2);
-  TaskScheduler::Group group;
+  constexpr int kQueued = 6;
+  std::latch blocker_done(1);
   std::atomic<int> done{0};
-  std::atomic<bool> started{false};
-  constexpr int kChained = 6;
-  group.expect(1);
-  // The worker that claims this task parks inside it after pushing chained
-  // work onto its OWN deque; only another executor can run those, and only
-  // by stealing the deque top.
-  sched.submit_to(0, [&sched, &done, &started, group] {
-    started.store(true, std::memory_order_release);
-    for (int i = 0; i < kChained; ++i)
-      sched.submit_local([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    while (done.load(std::memory_order_relaxed) < kChained)
+  TaskScheduler sched(2);
+  // The worker that claims this task yield()s work into its own queue and
+  // then parks inside the task; only the other worker can run that work,
+  // and only by stealing it from the busy worker.
+  sched.submit_to(0, [&sched, &done, &blocker_done] {
+    for (int i = 0; i < kQueued; ++i)
+      sched.yield([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    while (done.load(std::memory_order_relaxed) < kQueued)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    group.complete();
+    blocker_done.count_down();
   });
-  // Hold this thread back until a WORKER has claimed the blocker -- if the
-  // fork-join waiter below stole it first, it would run here, off-worker,
-  // and submit_local would fall back to inbox submission (no steal needed).
-  while (!started.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sched.wait(group);
-  group.rethrow_if_error();
-  EXPECT_EQ(done.load(), kChained);
-  EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kChained));
+  blocker_done.wait();
+  EXPECT_EQ(done.load(), kQueued);
+  EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kQueued));
 }
 
 TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
   // Two cooperative actors on ONE worker, each yield()ing between slices:
   // the batch-cyclic inbox discipline must interleave them instead of
   // letting the re-submitted actor monopolise the queue.
-  TaskScheduler sched(1);
-  TaskScheduler::Group group;
+  constexpr int kSlices = 6;
+  std::latch done(2);
   std::mutex mu;
   std::vector<char> order;  // guarded by mu
-  group.expect(2);
-  constexpr int kSlices = 6;
+  TaskScheduler sched(1);
   struct Actor {
     TaskScheduler* sched;
-    TaskScheduler::Group group;  // by value: keeps the shared state alive
+    std::latch* done;
     std::mutex* mu;
     std::vector<char>* order;
     char name;
@@ -119,7 +121,7 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
         order->push_back(name);
       }
       if (--left == 0) {
-        group.complete();
+        done->count_down();
         return;
       }
       sched->yield([self = *this]() mutable { self.run(); });
@@ -128,22 +130,15 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
   // A starter task enrolls both actors from inside the worker, so they
   // land in one inbox batch deterministically (no startup race where the
   // worker drains one before the other is submitted).
-  sched.submit_to(0, [&sched, &mu, &order, group] {
-    sched.yield([&sched, &mu, &order, group] {
-      Actor{&sched, group, &mu, &order, 'a'}.run();
+  sched.submit_to(0, [&sched, &done, &mu, &order] {
+    sched.yield([&sched, &done, &mu, &order] {
+      Actor{&sched, &done, &mu, &order, 'a'}.run();
     });
-    sched.yield([&sched, &mu, &order, group] {
-      Actor{&sched, group, &mu, &order, 'b'}.run();
+    sched.yield([&sched, &done, &mu, &order] {
+      Actor{&sched, &done, &mu, &order, 'b'}.run();
     });
   });
-  // Observe passively (no sched.wait): a fork-join waiter is itself an
-  // executor -- it may steal an actor and run it in parallel, which is
-  // correct but makes single-worker round order unobservable.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!group.done() && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_TRUE(group.done());
-  group.rethrow_if_error();
+  ASSERT_TRUE(wait_for(done));
   ASSERT_EQ(order.size(), static_cast<std::size_t>(2 * kSlices));
   // Once both actors are live, no actor may run more than twice in a row
   // (twice covers the startup batch that held only one of them).
@@ -156,65 +151,39 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
   EXPECT_LE(longest_run, 2) << std::string(order.begin(), order.end());
 }
 
-TEST(TaskScheduler, GroupPropagatesTheFirstException) {
-  TaskScheduler sched(2);
-  TaskScheduler::Group group;
-  group.expect(3);
-  sched.submit([group] { group.complete(); });
-  sched.submit([group] {
-    group.fail(std::make_exception_ptr(std::runtime_error("tile exploded")));
-  });
-  sched.submit([group] { group.complete(); });
-  sched.wait(group);
-  EXPECT_THROW(group.rethrow_if_error(), std::runtime_error);
-  // A second rethrow is a no-op: the error was consumed.
-  group.rethrow_if_error();
-}
-
-TEST(TaskScheduler, ExternalWaiterHelpsExecuteChainedWork) {
-  // A chain that keeps re-submitting to a single worker's deque while the
-  // fork-join caller waits: the caller's steal loop must be able to help
-  // (and at minimum the chain must complete promptly).
+TEST(TaskScheduler, AThrowingTaskDoesNotStopItsWorker) {
+  // A task's exception must not escape into the worker thread (that would
+  // terminate the process) nor end the worker's loop: the next task queued
+  // on the same worker still runs.
+  std::latch ran(1);
+  int seen = -1;
   TaskScheduler sched(1);
-  TaskScheduler::Group group;
-  std::atomic<int> hops{0};
-  group.expect(1);
-  struct Hopper {
-    TaskScheduler* sched;
-    TaskScheduler::Group group;  // by value
-    std::atomic<int>* hops;
-    void run() const {
-      if (hops->fetch_add(1, std::memory_order_relaxed) + 1 == 500) {
-        group.complete();
-        return;
-      }
-      auto next = *this;
-      sched->submit_local([next] { next.run(); });
-    }
-  };
-  sched.submit_to(0, [&sched, &hops, group] { Hopper{&sched, group, &hops}.run(); });
-  sched.wait(group);
-  group.rethrow_if_error();
-  EXPECT_EQ(hops.load(), 500);
+  sched.submit_to(0, [] { throw std::runtime_error("task exploded"); });
+  sched.submit_to(0, [&sched, &ran, &seen] {
+    seen = sched.current_worker_index();
+    ran.count_down();
+  });
+  ASSERT_TRUE(wait_for(ran));
+  EXPECT_EQ(seen, 0);
+  EXPECT_GE(sched.stats().executed, 2u);
 }
 
 TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
   // Stress: 4 client threads firehose targeted and untargeted tasks at a
   // 3-worker scheduler (TSan coverage for inbox, deque, steal, sleep).
-  TaskScheduler sched(3);
-  TaskScheduler::Group group;
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
+  std::latch done(kProducers * kPerProducer);
   std::atomic<int> ran{0};
-  group.expect(kProducers * kPerProducer);
+  TaskScheduler sched(3);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        auto task = [&ran, group] {
+        auto task = [&ran, &done] {
           ran.fetch_add(1, std::memory_order_relaxed);
-          group.complete();
+          done.count_down();
         };
         if (i % 3 == 0)
           sched.submit(task);
@@ -224,8 +193,7 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
     });
   }
   for (auto& t : producers) t.join();
-  sched.wait(group);
-  group.rethrow_if_error();
+  done.wait();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
 }
 

@@ -1,6 +1,6 @@
 // ChannelBank: N batched channels must equal N independent single-channel
-// runs, serial and sharded modes must agree bit-for-bit, and disabled
-// channels must freeze.
+// runs, disabled channels must freeze, and a rejected block must advance
+// nothing.
 #include "src/core/channel_bank.hpp"
 
 #include <gtest/gtest.h>
@@ -63,23 +63,6 @@ TEST(ChannelBank, BatchEqualsIndependentRuns) {
   }
 }
 
-TEST(ChannelBank, ShardedEqualsSerial) {
-  const auto plans = detuned_plans(5);  // odd count: uneven shards
-  const auto input = stimulus(2688 * 4);
-
-  ChannelBank serial(plans, 1);
-  std::vector<std::vector<IqSample>> want;
-  serial.process_block(input, want);
-
-  for (int workers : {2, 3, 5}) {
-    ChannelBank sharded(plans, workers);
-    std::vector<std::vector<IqSample>> got;
-    sharded.process_block(input, got);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-  }
-}
-
 TEST(ChannelBank, StreamingBlocksAccumulatePlanarOutputs) {
   const auto plans = detuned_plans(2);
   const auto input = stimulus(2688 * 3);
@@ -135,16 +118,9 @@ TEST(ChannelBank, ResetRestoresFreshState) {
     expect_equal(second[c], first[c], c);
 }
 
-TEST(ChannelBank, WorkerCountIsClampedToChannels) {
-  ChannelBank bank(detuned_plans(2), 16);
-  EXPECT_EQ(bank.workers(), 2);
-  bank.set_workers(0);
-  EXPECT_EQ(bank.workers(), 1);
-}
-
-// Channels whose plans decimate at very different rates (the skewed-shard
-// case the thread-pool follow-up flagged): shard partitions are uneven in
-// work, but batching and sharding must stay bit-exact with solo runs.
+// Channels whose plans decimate at very different rates: the per-tile work
+// is uneven across channels, but batching must stay bit-exact with solo
+// runs.
 TEST(ChannelBank, SkewedDecimationsStayBitExact) {
   const auto spec = DatapathSpec::wide16();
   auto light = DdcConfig::reference(10.0e6);  // 16 * 21 * 8 = 2688
@@ -162,86 +138,27 @@ TEST(ChannelBank, SkewedDecimationsStayBitExact) {
   };
   const auto input = stimulus(43008 * 2);
 
-  ChannelBank serial(plans, 1);
-  std::vector<std::vector<IqSample>> want;
-  serial.process_block(input, want);
-  EXPECT_FALSE(want[0].empty());
-  EXPECT_FALSE(want[1].empty());
-  EXPECT_FALSE(want[2].empty());
-  EXPECT_GT(want[2].size(), want[1].size());  // skew is real
+  ChannelBank bank(plans);
+  std::vector<std::vector<IqSample>> got;
+  bank.process_block(input, got);
+  EXPECT_FALSE(got[0].empty());
+  EXPECT_FALSE(got[1].empty());
+  EXPECT_FALSE(got[2].empty());
+  EXPECT_GT(got[2].size(), got[1].size());  // skew is real
 
   for (std::size_t c = 0; c < plans.size(); ++c) {
     DdcPipeline solo(plans[c]);
-    std::vector<IqSample> solo_out;
-    solo.process_block(input, solo_out);
-    expect_equal(want[c], solo_out, c);
+    std::vector<IqSample> want;
+    solo.process_block(input, want);
+    expect_equal(got[c], want, c);
   }
-  for (int workers : {2, 3}) {
-    ChannelBank sharded(plans, workers);
-    std::vector<std::vector<IqSample>> got;
-    sharded.process_block(input, got);
-    for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-  }
-}
-
-// The work-stealing acceptance case: more chains than workers with heavy
-// skew, so the fork-join caller and the pool worker MUST take tiles that
-// were queued for someone else -- and the planar outputs must still be
-// bit-identical to serial execution (stolen tiles run in channel order;
-// only the worker executing them changes).
-TEST(ChannelBank, StolenTilesKeepOutputsBitExact) {
-  const auto spec = DatapathSpec::wide16();
-  auto light = DdcConfig::reference(10.0e6);
-  auto heavy = light;
-  heavy.cic2_decimation = 64;
-  heavy.cic5_decimation = 42;
-  heavy.fir_decimation = 16;
-  auto mid = light;
-  mid.cic2_decimation = 8;
-  mid.fir_decimation = 4;
-  std::vector<ChainPlan> plans;
-  for (int c = 0; c < 2; ++c) plans.push_back(ChainPlan::figure1(light, spec));
-  for (int c = 0; c < 2; ++c) plans.push_back(ChainPlan::figure1(heavy, spec));
-  for (int c = 0; c < 2; ++c) plans.push_back(ChainPlan::figure1(mid, spec));
-  const auto input = stimulus(43008 * 2);  // ~10 tiles per chain
-
-  ChannelBank serial(plans, 1);
-  std::vector<std::vector<IqSample>> want;
-  serial.process_block(input, want);
-
-  ChannelBank sharded(plans, 2);  // 1 pool worker + the calling thread
-  std::vector<std::vector<IqSample>> got;
-  sharded.process_block(input, got);
-  for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-
-  // The calling thread only ever executes by stealing.  Whether it wins a
-  // steal race within one block is timing-dependent (a fast pool worker can
-  // drain every tile first), so stream more blocks -- comparing every one --
-  // until the counter proves tiles really migrated between executors.
-  ASSERT_NE(sharded.scheduler(), nullptr);
-  for (int round = 0; round < 50 && sharded.scheduler()->stats().stolen == 0;
-       ++round) {
-    serial.process_block(input, want);
-    sharded.process_block(input, got);
-    for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-  }
-  EXPECT_GE(sharded.scheduler()->stats().stolen, 1u);
-  EXPECT_GE(sharded.scheduler()->stats().executed, plans.size());
-
-  // Streaming a further block through the same bank stays exact too (chain
-  // state carried across process_block calls).
-  serial.process_block(input, want);
-  sharded.process_block(input, got);
-  for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
 }
 
 TEST(ChannelBank, SingleChannelPathMatchesSolo) {
   const auto plans = detuned_plans(1);
   const auto input = stimulus(2688 * 3);
 
-  // Worker counts clamp to the single channel; the pool path must not engage.
-  ChannelBank bank(plans, 8);
-  EXPECT_EQ(bank.workers(), 1);
+  ChannelBank bank(plans);
   std::vector<std::vector<IqSample>> got;
   bank.process_block(input, got);
   ASSERT_EQ(got.size(), 1u);
@@ -254,7 +171,7 @@ TEST(ChannelBank, SingleChannelPathMatchesSolo) {
 
 TEST(ChannelBank, AllChannelsDisabledIsANoOp) {
   const auto plans = detuned_plans(3);
-  ChannelBank bank(plans, 2);
+  ChannelBank bank(plans);
   for (std::size_t c = 0; c < plans.size(); ++c) bank.set_enabled(c, false);
   std::vector<std::vector<IqSample>> got;
   bank.process_block(stimulus(2688), got);
@@ -264,7 +181,7 @@ TEST(ChannelBank, AllChannelsDisabledIsANoOp) {
 }
 
 TEST(ChannelBank, EmptyInputProducesNoOutput) {
-  ChannelBank bank(detuned_plans(2), 2);
+  ChannelBank bank(detuned_plans(2));
   std::vector<std::vector<IqSample>> got;
   bank.process_block(std::span<const std::int64_t>(), got);
   ASSERT_EQ(got.size(), 2u);
@@ -275,15 +192,14 @@ TEST(ChannelBank, EmptyInputProducesNoOutput) {
 // --------------------------------------------------- cross-channel packing
 //
 // Eight identical-geometry figure-1 channels form two packed quads; the
-// earlier BatchEqualsIndependentRuns/ShardedEqualsSerial tests already run
-// through the packed path (4 and 5 detuned channels), so these focus on the
-// packing-specific seams: remainder lanes, the kill switch, partial blocks,
-// fallback triggers, and the sample counters.
+// earlier BatchEqualsIndependentRuns test already runs through the packed
+// path (4 detuned channels), so these focus on the packing-specific seams:
+// remainder lanes, the kill switch, partial blocks, fallback triggers, and
+// the sample counters.
 
 void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
-                              const std::vector<std::int64_t>& input,
-                              int workers) {
-  ChannelBank bank(plans, workers);
+                              const std::vector<std::int64_t>& input) {
+  ChannelBank bank(plans);
   std::vector<std::vector<IqSample>> got;
   bank.process_block(input, got);
   ASSERT_EQ(got.size(), plans.size());
@@ -300,18 +216,14 @@ void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
 TEST(ChannelBank, PackedQuadsWithRemainderLanesMatchSolo) {
   // 9 channels: two full quads + one leftover single lane.  Uneven block
   // size exercises the packed tile loop's partial final tile.
-  expect_bank_matches_solo(detuned_plans(9), stimulus(2688 * 4 + 1337), 1);
-}
-
-TEST(ChannelBank, PackedParallelMatchesSolo) {
-  expect_bank_matches_solo(detuned_plans(9), stimulus(2688 * 4 + 1337), 3);
+  expect_bank_matches_solo(detuned_plans(9), stimulus(2688 * 4 + 1337));
 }
 
 TEST(ChannelBank, PackedKillSwitchFallsBackBitExact) {
   // With simd disabled process_block_packed4 declines and every lane runs
   // the scalar per-channel path -- outputs and counters must not change.
   simd::ScopedEnable guard(false);
-  expect_bank_matches_solo(detuned_plans(8), stimulus(2688 * 3 + 17), 1);
+  expect_bank_matches_solo(detuned_plans(8), stimulus(2688 * 3 + 17));
 }
 
 TEST(ChannelBank, MixedGeometriesGroupSeparately) {
@@ -327,7 +239,7 @@ TEST(ChannelBank, MixedGeometriesGroupSeparately) {
     ch.nco_freq_hz += 55.0e3 * c;
     plans.push_back(ChainPlan::figure1(ch, spec));
   }
-  expect_bank_matches_solo(plans, stimulus(2688 * 4), 2);
+  expect_bank_matches_solo(plans, stimulus(2688 * 4));
 }
 
 TEST(ChannelBank, ObservationTapsForceTheUnpackedPath) {
@@ -336,7 +248,7 @@ TEST(ChannelBank, ObservationTapsForceTheUnpackedPath) {
   const auto plans = detuned_plans(5);
   const auto input = stimulus(2688 * 3);
 
-  ChannelBank bank(plans, 1);
+  ChannelBank bank(plans);
   std::vector<std::int64_t> tapped;
   bank.channel(2).rail(0).set_tap(0, &tapped);
   std::vector<std::vector<IqSample>> got;
@@ -358,11 +270,11 @@ TEST(ChannelBank, PackedStreamingSeamsCarryState) {
   const auto plans = detuned_plans(8);
   const auto input = stimulus(2688 * 4 + 100);
 
-  ChannelBank whole(plans, 1);
+  ChannelBank whole(plans);
   std::vector<std::vector<IqSample>> want;
   whole.process_block(input, want);
 
-  ChannelBank chunked(plans, 1);
+  ChannelBank chunked(plans);
   std::vector<std::vector<IqSample>> got;
   const std::size_t cut1 = 1234;  // not a multiple of any decimation
   const std::size_t cut2 = 2688 * 2 + 7;
@@ -372,11 +284,37 @@ TEST(ChannelBank, PackedStreamingSeamsCarryState) {
   for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
 }
 
+TEST(ChannelBank, OutOfRangeInputPastTheFirstTileAdvancesNothing) {
+  // Five channels: a packed quad plus a single.  The bad sample sits in the
+  // third 8192-sample tile, so a check made tile by tile would throw only
+  // after every channel had run the first two tiles.
+  const auto plans = detuned_plans(5);
+  const auto clean = stimulus(2688 * 8);  // 21504 samples: three tiles
+  auto input = clean;
+  input[20000] = std::int64_t{1} << 30;  // beyond the 12-bit front end
+  ChannelBank bank(plans);
+  std::vector<std::vector<IqSample>> got;
+  EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
+  for (std::size_t c = 0; c < plans.size(); ++c)
+    EXPECT_EQ(bank.channel(c).samples_in(), 0u) << "channel " << c;
+  for (const auto& ch : got) EXPECT_TRUE(ch.empty());
+
+  // Nothing advanced, so the bank still matches fresh solo pipelines.
+  got.clear();
+  bank.process_block(clean, got);
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    DdcPipeline solo(plans[c]);
+    std::vector<IqSample> want;
+    solo.process_block(clean, want);
+    expect_equal(got[c], want, c);
+  }
+}
+
 TEST(ChannelBank, PackedRejectsOutOfRangeInputPerLane) {
   const auto plans = detuned_plans(4);
   auto input = stimulus(512);
   input[128] = std::int64_t{1} << 30;  // beyond the 12-bit front end
-  ChannelBank bank(plans, 1);
+  ChannelBank bank(plans);
   std::vector<std::vector<IqSample>> got;
   EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
 }
@@ -393,13 +331,13 @@ TEST(ChannelBank, PackedOctetsWithRemainderLanesMatchSolo) {
   // 11 channels: one octet + 3 singles on an active AVX-512 tier, two quads
   // + 3 singles otherwise.  Either grouping must stay solo-exact; the
   // uneven block size exercises the packed tile loop's partial final tile.
-  expect_bank_matches_solo(detuned_plans(11), stimulus(2688 * 3 + 1337), 1);
+  expect_bank_matches_solo(detuned_plans(11), stimulus(2688 * 3 + 1337));
 }
 
 TEST(ChannelBank, PackedOctetRemainderQuadMatchesSolo) {
   // 13 channels: octet + quad + single under AVX-512, three quads + single
-  // under AVX2 -- every unit size in one bank, parallel workers included.
-  expect_bank_matches_solo(detuned_plans(13), stimulus(2688 * 3 + 19), 3);
+  // under AVX2 -- every unit size in one bank.
+  expect_bank_matches_solo(detuned_plans(13), stimulus(2688 * 3 + 19));
 }
 
 TEST(ChannelBank, PackedAvx512CapToggleStaysBitExact) {
@@ -412,12 +350,12 @@ TEST(ChannelBank, PackedAvx512CapToggleStaysBitExact) {
   std::vector<std::vector<IqSample>> want;
   {
     simd::ScopedAvx512 cap(false);
-    ChannelBank bank(plans, 1);
+    ChannelBank bank(plans);
     bank.process_block(input, want);
   }
   std::vector<std::vector<IqSample>> got;
   {
-    ChannelBank bank(plans, 1);
+    ChannelBank bank(plans);
     bank.process_block(input, got);
   }
   ASSERT_EQ(got.size(), want.size());
@@ -430,13 +368,13 @@ TEST(ChannelBank, SetPackingOffMatchesPackedBitExact) {
   const auto plans = detuned_plans(8);
   const auto input = stimulus(2688 * 2 + 77);
 
-  ChannelBank mono(plans, 1);
+  ChannelBank mono(plans);
   mono.set_packing(false);
   EXPECT_FALSE(mono.packing());
   std::vector<std::vector<IqSample>> want;
   mono.process_block(input, want);
 
-  ChannelBank packed(plans, 1);
+  ChannelBank packed(plans);
   EXPECT_TRUE(packed.packing());
   std::vector<std::vector<IqSample>> got;
   packed.process_block(input, got);
@@ -452,7 +390,7 @@ TEST(ChannelBank, PackedKillSwitchMidStreamStaysBitExact) {
   const auto plans = detuned_plans(9);
   const auto input = stimulus(2688 * 3 + 100);
 
-  ChannelBank toggled(plans, 1);
+  ChannelBank toggled(plans);
   std::vector<std::vector<IqSample>> got;
   const std::size_t cut1 = 1234;
   const std::size_t cut2 = 2688 + 613;
@@ -478,7 +416,7 @@ TEST(ChannelBank, PackedFullScaleInputStaysBitExact) {
   const auto cfg = DdcConfig::reference(10.0e6);
   const auto input = dsp::quantize_signal(
       dsp::make_tone(10.0025e6, cfg.input_rate_hz, 2688 * 2 + 31, 0.999), 12);
-  expect_bank_matches_solo(detuned_plans(8), input, 1);
+  expect_bank_matches_solo(detuned_plans(8), input);
 }
 
 }  // namespace
