@@ -41,14 +41,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.hpp"
 #include "src/common/trace.hpp"
 #include "src/stream/engine.hpp"
-#include "src/stream/sink.hpp"
 #include "src/stream/source.hpp"
 
 #include "bench/bench_util.hpp"
@@ -497,7 +498,7 @@ void bench_stream_sessions() {
   double single_rate = 0.0;
   // 256 sessions is the scheduler-era acceptance point: sessions far
   // outnumber workers, so the line tracks admission/fairness overhead and
-  // targeted-wakeup scaling, not just kernel speed.
+  // run-queue scaling, not just kernel speed.
   for (const std::size_t sessions : {1u, 4u, 16u, 64u, 256u}) {
     twiddc::stream::EngineOptions opts;
     opts.workers = hw;
@@ -549,6 +550,76 @@ void bench_stream_sessions() {
 // discards the victims' backlogs (GapCause::kShed in their streams) and the
 // survivors keep flowing.
 
+/// Records per-session inter-chunk arrival gaps instead of payloads -- the
+/// probe for "did my stream keep flowing while others were shed".
+/// Timestamps are taken at delivery (the polling thread), so a gap covers
+/// the whole path: pump -> ring -> worker -> output ring -> poll.
+///
+/// Gaps go into a metrics::Histogram (microsecond buckets) instead of an
+/// unbounded vector, so memory stays constant however long the run -- a
+/// quantile is a bucket upper bound, exact to ~12.5% (see metrics.hpp).
+class LatencyRecorder {
+ public:
+  void on_chunk(std::uint64_t session_id, const twiddc::stream::StreamChunk& chunk) {
+    const auto now = std::chrono::steady_clock::now();
+    auto& rec = records_[session_id];
+    if (rec.chunks > 0) record_gap(rec, now);
+    rec.last = now;
+    rec.chunks++;
+    rec.samples += chunk.iq.size();
+  }
+
+  [[nodiscard]] std::uint64_t chunks(std::uint64_t session_id) const {
+    const auto it = records_.find(session_id);
+    return it == records_.end() ? 0 : it->second.chunks;
+  }
+  [[nodiscard]] std::uint64_t samples(std::uint64_t session_id) const {
+    const auto it = records_.find(session_id);
+    return it == records_.end() ? 0 : it->second.samples;
+  }
+
+  /// Appends the still-open tail gap (now minus last arrival) of every
+  /// session that delivered at least one chunk.  Call once when a fixed
+  /// measurement window closes, so a stream that stalled mid-window charges
+  /// its silence to the latency distribution instead of it vanishing.
+  void close_window() {
+    const auto now = std::chrono::steady_clock::now();
+    for (auto& [id, rec] : records_) {
+      if (rec.chunks == 0) continue;
+      record_gap(rec, now);
+      rec.last = now;
+    }
+  }
+
+  /// p-quantile (0..1) of inter-chunk gaps pooled across `session_ids`;
+  /// 0.0 when fewer than two chunks arrived anywhere.
+  [[nodiscard]] double gap_quantile_ms(const std::vector<std::uint64_t>& session_ids,
+                                       double p) const {
+    twiddc::metrics::HistogramSnapshot pool;
+    for (const std::uint64_t id : session_ids) {
+      const auto it = records_.find(id);
+      if (it != records_.end()) pool.add(it->second.gaps_us.snapshot());
+    }
+    return static_cast<double>(pool.quantile(p)) * 1e-3;
+  }
+
+ private:
+  struct Record {
+    std::chrono::steady_clock::time_point last{};
+    std::uint64_t chunks = 0;
+    std::uint64_t samples = 0;
+    twiddc::metrics::Histogram gaps_us;
+  };
+
+  static void record_gap(Record& rec, std::chrono::steady_clock::time_point now) {
+    rec.gaps_us.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - rec.last)
+            .count()));
+  }
+
+  std::map<std::uint64_t, Record> records_;
+};
+
 void bench_stream_overload() {
   twiddc::backends::register_builtin();
   const auto cfg = DdcConfig::reference(10.0e6);
@@ -585,13 +656,13 @@ void bench_stream_overload() {
       }
     }
 
-    twiddc::stream::LatencyRecorder recorder;
+    LatencyRecorder recorder;
     engine.start();
     const auto t0 = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - t0 < kWindow) {
       for (const auto& s : survivors)
         for (auto& chunk : s->poll())
-          recorder.on_chunk(s->id(), std::move(chunk));
+          recorder.on_chunk(s->id(), chunk);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     recorder.close_window();

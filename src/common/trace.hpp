@@ -31,7 +31,7 @@ namespace twiddc::trace {
 
 /// Event categories; one bit each in the enable masks.
 enum class Category : std::uint8_t {
-  kSched = 0,   ///< TaskScheduler: steal, steal_inbox, wakeup
+  kSched = 0,   ///< TaskScheduler: wakeup
   kStream = 1,  ///< StreamEngine/Session: pump, service, retune, gap, fault
   kCache = 2,   ///< CompiledPlanCache: compile, hit/miss, eviction
 };

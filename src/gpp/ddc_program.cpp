@@ -353,7 +353,6 @@ void DdcStream::boot() {
   // "main_loop" with the live registers from the previous block.
   const RunStats stats = cpu_->run("entry");
   instructions_ += stats.instructions;
-  cycles_ += stats.cycles;
 }
 
 void DdcStream::process_block(std::span<const std::int64_t> in,
@@ -369,7 +368,6 @@ void DdcStream::process_block(std::span<const std::int64_t> in,
                      static_cast<std::int32_t>(kOutput));
     const RunStats stats = cpu_->run("main_loop");
     instructions_ += stats.instructions;
-    cycles_ += stats.cycles;
     // The program advanced the output pointer once per produced sample;
     // everything between kOutput and it is this window's yield.
     const auto out_ptr = static_cast<std::uint32_t>(
@@ -381,7 +379,6 @@ void DdcStream::process_block(std::span<const std::int64_t> in,
 
 void DdcStream::reset() {
   instructions_ = 0;
-  cycles_ = 0;
   boot();
 }
 

@@ -118,9 +118,8 @@ class DdcStream {
   /// Restores power-on state (fresh history, phase 0).
   void reset();
 
-  /// Cumulative simulation cost since construction/reset.
+  /// Instructions simulated since construction/reset.
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
-  [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
  private:
   void boot();
@@ -130,7 +129,6 @@ class DdcStream {
   std::vector<std::int32_t> window_;  ///< widened-input scratch (reused)
   std::optional<Cpu> cpu_;
   std::uint64_t instructions_ = 0;
-  std::uint64_t cycles_ = 0;
 };
 
 }  // namespace twiddc::gpp

@@ -84,11 +84,6 @@ std::shared_ptr<Session> StreamEngine::open(const core::ChainPlan& plan,
       new Session(next_session_id_++, std::move(backend), policy,
                   options_.session_queue_blocks, options_.session_output_chunks,
                   link_, output_epoch_));
-  // Initial pinning: round-robin by id.  The pin is advisory -- a steal
-  // re-homes the session -- so any spread works; id keeps it deterministic.
-  session->home_.store(
-      static_cast<int>(session->id() % static_cast<std::uint64_t>(options_.workers)),
-      std::memory_order_release);
   session->set_attached(workers_live_);
   session->set_restart_policy(options_.default_restart);
   sessions_.push_back(session);
@@ -405,11 +400,9 @@ bool StreamEngine::enqueue(Session& s, const FeedBlock& block) {
   s.stats_.samples_enqueued.fetch_add(block.samples->size(),
                                       std::memory_order_relaxed);
   s.note_queue_depth(s.in_ring_.size());
-  // The targeted wakeup: schedule THIS session on its home worker.  The
-  // old WorkerPool design bumped a global epoch and notify_all()ed every
-  // worker per block; now only the one worker that owns this session gets
-  // touched, and only when the session is not already queued or marked.
-  // Paused sessions are left alone (set_paused(false) re-schedules).
+  // The per-session nudge: queue THIS session's actor unless it is already
+  // queued or marked dirty.  Paused sessions are left alone
+  // (set_paused(false) re-schedules).
   if (!s.paused()) schedule_session(s);
   return true;
 }
@@ -422,8 +415,7 @@ void StreamEngine::schedule_session(Session& s) {
     if (st == Session::kIdle) {
       if (s.sched_state_.compare_exchange_weak(st, Session::kScheduled,
                                                std::memory_order_acq_rel))
-        return submit_session_task(*sched_, s.shared_from_this(),
-                                   /*yield_lane=*/false);
+        return submit_session_task(s.shared_from_this());
     } else if (st == Session::kRunning) {
       if (s.sched_state_.compare_exchange_weak(st, Session::kRunningDirty,
                                                std::memory_order_acq_rel))
@@ -434,19 +426,11 @@ void StreamEngine::schedule_session(Session& s) {
   }
 }
 
-void StreamEngine::submit_session_task(common::TaskScheduler& sched,
-                                       const std::shared_ptr<Session>& session,
-                                       bool yield_lane) {
-  auto task = [this, &sched, session] { run_session(sched, session); };
-  if (yield_lane)
-    sched.yield(std::move(task));  // behind this worker's other runnables
-  else
-    sched.submit_to(session->home_.load(std::memory_order_acquire),
-                    std::move(task));
+void StreamEngine::submit_session_task(const std::shared_ptr<Session>& session) {
+  sched_->submit([this, session] { run_session(session); });
 }
 
-void StreamEngine::run_session(common::TaskScheduler& sched,
-                               const std::shared_ptr<Session>& sp) {
+void StreamEngine::run_session(const std::shared_ptr<Session>& sp) {
   Session& s = *sp;
   int expected = Session::kScheduled;
   // Claim the actor.  A failed claim means a duplicate task (possible only
@@ -454,8 +438,6 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
   if (!s.sched_state_.compare_exchange_strong(expected, Session::kRunning,
                                               std::memory_order_acq_rel))
     return;
-  const int w = sched.current_worker_index();
-  if (w >= 0) s.home_.store(w, std::memory_order_release);  // re-home on steal
   s.stats_.service_passes.fetch_add(1, std::memory_order_relaxed);
   bool requeue = false;
   if (!stop_.load(std::memory_order_acquire) && !s.closed()) {
@@ -487,10 +469,10 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
   // get one more wakeup, or it sleeps through the finish transition.
   notify_output();
   if (requeue) {
-    // Quantum exhausted with input still queued: yield behind the other
-    // runnable sessions on this worker -- the WRR fairness edge.
+    // Quantum exhausted with input still queued: re-queue behind every
+    // other queued task -- the WRR fairness edge.
     s.sched_state_.store(Session::kScheduled, std::memory_order_release);
-    return submit_session_task(sched, sp, /*yield_lane=*/true);
+    return submit_session_task(sp);
   }
   int st = Session::kRunning;
   if (s.sched_state_.compare_exchange_strong(st, Session::kIdle,
@@ -498,7 +480,7 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
     return;  // parked: a poll()/enqueue/retune nudge re-arms it
   // kRunningDirty: a request raced the pass; service again promptly.
   s.sched_state_.store(Session::kScheduled, std::memory_order_release);
-  submit_session_task(sched, sp, /*yield_lane=*/true);
+  submit_session_task(sp);
 }
 
 bool StreamEngine::try_restart(Session& s) {
@@ -840,7 +822,6 @@ FaultInfo StreamEngine::source_fault() const {
 std::string StreamEngine::stats_json() const {
   double elapsed = streamed_elapsed_s_.load(std::memory_order_relaxed);
   common::TaskScheduler::Stats sched_stats;
-  std::vector<common::TaskScheduler::WorkerSnapshot> wsnap;
   {
     // run_start_time_ is rewritten by every start() now that the engine is
     // restartable, so it is only readable under the lifecycle mutex (the
@@ -851,7 +832,6 @@ std::string StreamEngine::stats_json() const {
                                                run_start_time_)
                      .count();
     sched_stats = sched_ ? sched_->stats() : sched_stats_;
-    if (sched_) wsnap = sched_->worker_snapshot();
   }
   JsonLine engine_line;
   engine_line.field("sessions", session_count())
@@ -863,8 +843,8 @@ std::string StreamEngine::stats_json() const {
       .field("running", running_.load(std::memory_order_acquire))
       .field("elapsed_s", elapsed)
       .field("tasks_executed", static_cast<std::size_t>(sched_stats.executed))
-      .field("tasks_stolen", static_cast<std::size_t>(sched_stats.stolen))
-      .field("steal_failures", static_cast<std::size_t>(sched_stats.steal_failures))
+      // Submissions that woke a parked worker; the key keeps its older name
+      // because perfbench's sched.wakeups_per_block reads it.
       .field("targeted_wakeups", static_cast<std::size_t>(sched_stats.wakeups));
   // Fault-containment counters.  faults/restarts aggregate the LIVE
   // sessions (a closed, pruned session takes its share with it); the
@@ -915,17 +895,6 @@ std::string StreamEngine::stats_json() const {
       .field("compile_seconds", cache.compile_seconds)
       .field("entries", cache.entries)
       .field("capacity", cache.capacity);
-  // Per-worker detail rides as its own array (one object per scheduler
-  // worker): queue depth and park state show where work is waiting.
-  std::vector<JsonLine> workers_detail;
-  workers_detail.reserve(wsnap.size());
-  for (std::size_t i = 0; i < wsnap.size(); ++i) {
-    JsonLine w;
-    w.field("worker", i)
-        .field("queue_depth", wsnap[i].queue_depth)
-        .field("sleeping", wsnap[i].sleeping);
-    workers_detail.push_back(std::move(w));
-  }
   // Latency distributions: nanosecond samples, reported in milliseconds.
   // Quantiles are log-bucket upper bounds (see metrics.hpp), not exact.
   JsonLine latency_line;
@@ -942,7 +911,6 @@ std::string StreamEngine::stats_json() const {
         .field("policy", to_string(s->policy()))
         .field("closed", s->closed())
         .field("paused", s->paused())
-        .field("worker", static_cast<double>(s->home_worker()))
         .field("weight", static_cast<double>(s->weight()))
         .field("blocks_enqueued", static_cast<std::size_t>(st.blocks_enqueued))
         .field("samples_enqueued", static_cast<std::size_t>(st.samples_enqueued))
@@ -976,7 +944,6 @@ std::string StreamEngine::stats_json() const {
   }
   JsonLine root;
   root.object("engine", engine_line)
-      .array("workers_detail", workers_detail)
       .object("plan_cache", cache_line)
       .object("latency", latency_line)
       .array("sessions", session_lines);

@@ -10,16 +10,14 @@
 //   pump thread   reads Source blocks and fans each one out (zero-copy, a
 //                 shared_ptr per session) to every open session's input
 //                 ring, honouring the session's backpressure policy, then
-//                 nudges only that session's home worker;
-//   scheduler     a common::TaskScheduler of `workers` threads.  Each
-//                 session is a cooperative actor: when it has input it is
-//                 a queued task on its home worker; an idle worker steals
-//                 queued sessions from its siblings (the stolen session is
-//                 re-pinned to the thief); a session that exhausts its
-//                 weighted quantum yields behind the other runnable
-//                 sessions on its worker.  Sessions with no work are in no
-//                 queue at all -- scheduling cost follows *active*
-//                 sessions, not open ones.
+//                 nudges that session's actor;
+//   scheduler     a common::TaskScheduler of `workers` threads sharing one
+//                 FIFO run queue.  Each session is a cooperative actor:
+//                 when it has input it is one queued task, taken by
+//                 whichever worker is free; a session that exhausts its
+//                 weighted quantum re-queues behind every other queued
+//                 task.  Sessions with no work are in no queue at all --
+//                 scheduling cost follows *active* sessions, not open ones.
 //   client        opens/polls/retunes/closes sessions from its own threads.
 //
 // The engine is restartable: construct, open sessions (any time), start(),
@@ -175,18 +173,11 @@ class StreamEngine {
   void pump_loop();
   /// One scheduling pass over `session`: claim it, service up to its
   /// weighted quantum, then park / re-queue it per the actor protocol.
-  /// `sched` is the scheduler executing the task, threaded through the
-  /// closure: during stop() the sched_ member is nulled before the
-  /// scheduler destructor finishes draining workers, so in-flight tasks
-  /// must not read the member.
-  void run_session(common::TaskScheduler& sched,
-                   const std::shared_ptr<Session>& session);
-  /// Queues a run_session task for the session.  `yield_lane` re-queues
-  /// behind the worker's other runnable tasks (fairness); otherwise the
-  /// task is a targeted submission to the session's home worker.
-  void submit_session_task(common::TaskScheduler& sched,
-                           const std::shared_ptr<Session>& session,
-                           bool yield_lane);
+  /// Tasks may read sched_: stop() joins the workers before resetting it.
+  void run_session(const std::shared_ptr<Session>& session);
+  /// Queues a run_session task for the session at the tail of the run
+  /// queue, behind every task already queued (the fairness edge).
+  void submit_session_task(const std::shared_ptr<Session>& session);
   /// The notify half of the actor protocol: idempotent, lock-free, never
   /// loses a request, never double-runs a session.  Caller must know the
   /// scheduler is alive (pump; or via EngineLink::scheduler_live).

@@ -77,7 +77,7 @@ std::vector<StreamChunk> Session::poll(std::size_t max_chunks) {
   }
   stats_.chunks_polled.fetch_add(chunks.size(), std::memory_order_relaxed);
   // A session parked on a stashed undelivered chunk (or holding queued
-  // input) gets its worker nudged -- only its home worker, nobody else.
+  // input) gets a service pass queued.
   // Deliberately NOT conditioned on this poll having returned chunks: a
   // stale-false read of has_pending_chunk_ during the poll that actually
   // freed the ring would otherwise strand the stash forever (no later
@@ -116,7 +116,7 @@ bool Session::retune(const core::ChainPlan& plan, core::SwapMode mode) {
   pending_retune_.emplace(RetuneRequest{plan, mode});
   retune_result_.reset();
   lock.unlock();
-  request_service();  // wake the home worker so idle sessions retune promptly
+  request_service();  // queue a pass so idle sessions retune promptly
   lock.lock();
   control_cv_.wait(lock, [this] {
     return retune_result_.has_value() ||

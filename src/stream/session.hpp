@@ -9,11 +9,10 @@
 //   worker       -> output ring (StreamChunk) -> client poll()
 //
 // Scheduling: a session is a cooperative actor on the engine's
-// common::TaskScheduler.  It is pinned to a *home worker* (targeted
-// wakeups go only there), runs at most `quantum x weight` feed blocks per
-// scheduling pass before yielding, and migrates -- home and all -- to
-// whichever worker steals its queued task.  While a session has no input
-// it is in no run queue and costs nothing.
+// common::TaskScheduler.  Its pass is a task on the one shared run queue,
+// taken by whichever worker is free; it runs at most `quantum x weight`
+// feed blocks per pass before re-queueing behind every other queued task.
+// While a session has no input it is in no run queue and costs nothing.
 //
 // Threading contract: poll(), retune(), set_paused(), set_weight() and
 // close() are client calls (any one thread); the backend itself is touched
@@ -191,8 +190,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Requests a runtime plan swap; the worker applies it between feed
   /// blocks (a full output ring parks the *session*, never its worker, so
   /// a single-threaded client that is not currently polling cannot
-  /// deadlock here, and a backlogged session cannot starve a co-pinned
-  /// one) via the backend's swap_plan() glitch contract.  Blocks until the
+  /// deadlock here, and a backlogged session cannot starve another one)
+  /// via the backend's swap_plan() glitch contract.  Blocks until the
   /// swap is applied or rejected; returns false -- with the diagnostic in
   /// last_error() -- when the backend cannot lower the new plan (the old
   /// plan keeps streaming) or the session is closed.  When the engine is
@@ -217,12 +216,6 @@ class Session : public std::enable_shared_from_this<Session> {
   void set_weight(int weight);
   [[nodiscard]] int weight() const {
     return weight_.load(std::memory_order_acquire);
-  }
-
-  /// The worker this session's wakeups target.  Assigned round-robin at
-  /// open(); re-pinned to whichever worker steals the session's task.
-  [[nodiscard]] int home_worker() const {
-    return home_.load(std::memory_order_acquire);
   }
 
   /// Stops the stream: the pump stops feeding it, queued input is
@@ -274,7 +267,7 @@ class Session : public std::enable_shared_from_this<Session> {
   /// the worker's epilogue re-queue it.  The protocol never loses a wakeup
   /// and never runs one session on two workers.
   static constexpr int kIdle = 0;       ///< not queued, no service requested
-  static constexpr int kScheduled = 1;  ///< a task is queued on some worker
+  static constexpr int kScheduled = 1;  ///< a task is in the run queue
   static constexpr int kRunning = 2;    ///< a worker is inside run_session
   static constexpr int kRunningDirty = 3;  ///< running + re-service requested
 
@@ -343,7 +336,7 @@ class Session : public std::enable_shared_from_this<Session> {
   void set_attached(bool attached);
 
   /// Asks the engine (if alive and running) to schedule a service pass for
-  /// this session on its home worker.  The client-side scheduling nudge.
+  /// this session.  The client-side scheduling nudge.
   void request_service();
 
   void note_queue_depth(std::uint64_t depth);
@@ -357,7 +350,6 @@ class Session : public std::enable_shared_from_this<Session> {
   BoundedRing<FeedBlock> in_ring_;
   BoundedRing<StreamChunk> out_ring_;
 
-  std::atomic<int> home_{0};       ///< wakeup target; re-pinned on steal
   std::atomic<int> weight_{1};     ///< WRR quantum multiplier
   std::atomic<int> sched_state_{kIdle};
 

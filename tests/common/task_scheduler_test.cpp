@@ -1,7 +1,7 @@
-// TaskScheduler: per-worker run queues, targeted submission, work stealing
-// off a busy worker's queue, batch-cyclic yield fairness, and a worker that
-// survives a throwing task.  Runs under TSan in CI alongside the stream
-// suite.
+// TaskScheduler: one shared FIFO run queue, queued work running while a
+// worker is busy, FIFO rounds for re-submitting actors, the shutdown drain,
+// and a worker that survives a throwing task.  Runs under TSan in CI
+// alongside the stream suite.
 //
 // Every latch (and anything else a task touches) is declared before its
 // TaskScheduler: the scheduler's destructor joins the workers first, so a
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <latch>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -48,61 +49,28 @@ TEST(TaskScheduler, RunsEverySubmittedTask) {
   EXPECT_GE(sched.stats().executed, static_cast<std::uint64_t>(kTasks));
 }
 
-TEST(TaskScheduler, TargetedSubmissionRunsOnTheTargetWorker) {
-  constexpr int kWorkers = 4;
-  std::latch ran[kWorkers] = {std::latch(1), std::latch(1), std::latch(1),
-                              std::latch(1)};
-  int seen[kWorkers] = {-1, -1, -1, -1};
-  TaskScheduler sched(kWorkers);
-  const auto all_parked = [&sched] {
-    for (const auto& s : sched.worker_snapshot())
-      if (!s.sleeping) return false;
-    return true;
-  };
-  for (int w = 0; w < kWorkers; ++w) {
-    // A worker still spinning down from the previous round (or from spawn)
-    // is an idle thief: it can take the task off the target's deque between
-    // the target's inbox drain and its pop.  Start each round quiet.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!all_parked() && std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_TRUE(all_parked());
-    // No competing work anywhere, so nothing can steal the task before its
-    // home worker wakes.
-    sched.submit_to(w, [&sched, &ran, &seen, w] {
-      seen[w] = sched.current_worker_index();
-      ran[w].count_down();
-    });
-    ASSERT_TRUE(wait_for(ran[w]));
-    EXPECT_EQ(seen[w], w);
-  }
-  EXPECT_EQ(sched.current_worker_index(), -1);  // this thread is no worker
-}
-
-TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
+TEST(TaskScheduler, QueuedTasksRunWhileAWorkerIsBusy) {
   constexpr int kQueued = 6;
+  std::latch queued_done(kQueued);
   std::latch blocker_done(1);
-  std::atomic<int> done{0};
+  bool all_ran = false;
   TaskScheduler sched(2);
-  // The worker that claims this task yield()s work into its own queue and
-  // then parks inside the task; only the other worker can run that work,
-  // and only by stealing it from the busy worker.
-  sched.submit_to(0, [&sched, &done, &blocker_done] {
+  // The worker that claims this task queues work and then waits inside the
+  // task; only the other worker can run that work.
+  sched.submit([&sched, &queued_done, &blocker_done, &all_ran] {
     for (int i = 0; i < kQueued; ++i)
-      sched.yield([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    while (done.load(std::memory_order_relaxed) < kQueued)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      sched.submit([&queued_done] { queued_done.count_down(); });
+    all_ran = wait_for(queued_done);
     blocker_done.count_down();
   });
   blocker_done.wait();
-  EXPECT_EQ(done.load(), kQueued);
-  EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kQueued));
+  EXPECT_TRUE(all_ran);
 }
 
 TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
-  // Two cooperative actors on ONE worker, each yield()ing between slices:
-  // the batch-cyclic inbox discipline must interleave them instead of
-  // letting the re-submitted actor monopolise the queue.
+  // Two cooperative actors on ONE worker, each re-submitting itself between
+  // slices: the FIFO queue must interleave them instead of letting the
+  // re-submitted actor monopolise the worker.
   constexpr int kSlices = 6;
   std::latch done(2);
   std::mutex mu;
@@ -124,24 +92,24 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
         done->count_down();
         return;
       }
-      sched->yield([self = *this]() mutable { self.run(); });
+      sched->submit([self = *this]() mutable { self.run(); });
     }
   };
-  // A starter task enrolls both actors from inside the worker, so they
-  // land in one inbox batch deterministically (no startup race where the
-  // worker drains one before the other is submitted).
-  sched.submit_to(0, [&sched, &done, &mu, &order] {
-    sched.yield([&sched, &done, &mu, &order] {
+  // A starter task enrolls both actors from inside the worker, so both are
+  // queued before either runs (no startup race where the worker runs one
+  // before the other is submitted).
+  sched.submit([&sched, &done, &mu, &order] {
+    sched.submit([&sched, &done, &mu, &order] {
       Actor{&sched, &done, &mu, &order, 'a'}.run();
     });
-    sched.yield([&sched, &done, &mu, &order] {
+    sched.submit([&sched, &done, &mu, &order] {
       Actor{&sched, &done, &mu, &order, 'b'}.run();
     });
   });
   ASSERT_TRUE(wait_for(done));
   ASSERT_EQ(order.size(), static_cast<std::size_t>(2 * kSlices));
-  // Once both actors are live, no actor may run more than twice in a row
-  // (twice covers the startup batch that held only one of them).
+  // Both actors are queued before either runs, so the FIFO queue alternates
+  // them: no actor may run more than twice in a row.
   int longest_run = 1;
   int current = 1;
   for (std::size_t i = 1; i < order.size(); ++i) {
@@ -154,23 +122,19 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
 TEST(TaskScheduler, AThrowingTaskDoesNotStopItsWorker) {
   // A task's exception must not escape into the worker thread (that would
   // terminate the process) nor end the worker's loop: the next task queued
-  // on the same worker still runs.
+  // on the same worker still runs, and the caught exception is counted.
   std::latch ran(1);
-  int seen = -1;
   TaskScheduler sched(1);
-  sched.submit_to(0, [] { throw std::runtime_error("task exploded"); });
-  sched.submit_to(0, [&sched, &ran, &seen] {
-    seen = sched.current_worker_index();
-    ran.count_down();
-  });
+  sched.submit([] { throw std::runtime_error("task exploded"); });
+  sched.submit([&ran] { ran.count_down(); });
   ASSERT_TRUE(wait_for(ran));
-  EXPECT_EQ(seen, 0);
+  EXPECT_EQ(sched.stats().threw, 1u);
   EXPECT_GE(sched.stats().executed, 2u);
 }
 
 TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
-  // Stress: 4 client threads firehose targeted and untargeted tasks at a
-  // 3-worker scheduler (TSan coverage for inbox, deque, steal, sleep).
+  // Stress: 4 client threads firehose tasks at a 3-worker scheduler (TSan
+  // coverage for the queue, parking and wakeups).
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
   std::latch done(kProducers * kPerProducer);
@@ -179,16 +143,12 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
+    producers.emplace_back([&] {
       for (int i = 0; i < kPerProducer; ++i) {
-        auto task = [&ran, &done] {
+        sched.submit([&ran, &done] {
           ran.fetch_add(1, std::memory_order_relaxed);
           done.count_down();
-        };
-        if (i % 3 == 0)
-          sched.submit(task);
-        else
-          sched.submit_to((p + i) % 3, task);
+        });
       }
     });
   }
@@ -206,10 +166,38 @@ TEST(TaskScheduler, WorkerCountIsFixedAndClampedToOne) {
   EXPECT_EQ(negative.workers(), 1);
 }
 
-TEST(TaskScheduler, WorkerSnapshotCoversEverySlot) {
-  TaskScheduler sched(4);
-  const auto snap = sched.worker_snapshot();
-  ASSERT_EQ(snap.size(), 4u);
+TEST(TaskScheduler, ShutdownRunsQueuedTasksAndDropsLaterOnes) {
+  // StreamEngine::stop() relies on this contract: shutdown() runs every
+  // task already queued and drops every later submission -- including the
+  // ones the queued tasks make themselves.
+  constexpr int kQueued = 8;
+  std::latch queued(1);
+  std::atomic<int> ran{0};
+  std::atomic<int> late_ran{0};
+  TaskScheduler sched(1);
+  // The only worker sits in this task until shutdown has begun, so the
+  // queued tasks can run only in the shutdown drain.
+  sched.submit([&sched, &queued] {
+    queued.wait();
+    // A dropped submission destroys its task at once; an accepted one
+    // stays queued behind this task.  Probe until one is dropped.
+    for (;;) {
+      auto probe = std::make_shared<int>(0);
+      const std::weak_ptr<int> alive = probe;
+      sched.submit([probe = std::move(probe)] {});
+      if (alive.expired()) return;
+      std::this_thread::yield();
+    }
+  });
+  for (int i = 0; i < kQueued; ++i)
+    sched.submit([&sched, &ran, &late_ran] {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      sched.submit([&late_ran] { late_ran.fetch_add(1, std::memory_order_relaxed); });
+    });
+  queued.count_down();
+  sched.shutdown();
+  EXPECT_EQ(ran.load(), kQueued);
+  EXPECT_EQ(late_ran.load(), 0);
 }
 
 }  // namespace

@@ -459,7 +459,7 @@ TEST_F(StreamEngineTest, RetuneAppliesWhileOutputRingIsFull) {
 }
 
 TEST_F(StreamEngineTest, BackloggedSessionNeverStarvesCoPinnedSession) {
-  // One worker, two kBlock sessions pinned to it.  Session A's tiny output
+  // One worker, two kBlock sessions sharing it.  Session A's tiny output
   // ring fills while nobody polls; session B -- and B's retune() -- must
   // keep being serviced regardless (a full output ring parks the session,
   // not the worker).
@@ -736,9 +736,8 @@ TEST_F(StreamEngineTest, StatsJsonDescribesEverySession) {
   EXPECT_NE(json.find("\"msamples_per_s\""), std::string::npos);
   EXPECT_NE(json.find("\"last_retune_block\""), std::string::npos);
   EXPECT_NE(json.find("\"paused\""), std::string::npos);
-  // Scheduler-era fields: per-session pinning/fairness plus engine-level
-  // task counters.
-  EXPECT_NE(json.find("\"worker\""), std::string::npos);
+  // Scheduler-era fields: per-session fairness plus engine-level task
+  // counters.
   EXPECT_NE(json.find("\"weight\""), std::string::npos);
   EXPECT_NE(json.find("\"service_passes\""), std::string::npos);
   EXPECT_NE(json.find("\"quantum_blocks\""), std::string::npos);
@@ -794,8 +793,8 @@ TEST_F(StreamEngineTest, SixtyFourSessionsOnTwoWorkersMakeBoundedProgress) {
   // workers.  Under kBlock backpressure every session's lag behind the
   // pump is bounded by its input ring, so at ANY instant the spread
   // between the most- and least-served session is bounded -- the weighted
-  // round-robin quantum plus stealing keeps 64 actors on 2 workers from
-  // starving anyone.  (Run under TSan in CI.)
+  // round-robin quantum over one FIFO run queue keeps 64 actors on 2
+  // workers from starving anyone.  (Run under TSan in CI.)
   constexpr std::size_t kSessions = 64;
   const auto feed = make_feed(2048 * 12);
   EngineOptions opts;
