@@ -31,7 +31,6 @@
 #include "src/core/datapath_spec.hpp"
 #include "src/core/ddc_config.hpp"
 #include "src/stream/engine.hpp"
-#include "src/stream/sink.hpp"
 #include "src/stream/source.hpp"
 
 int main(int argc, char** argv) {
@@ -98,8 +97,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   sessions.back()->set_paused(false);
 
-  stream::CollectingSink sink;
-  stream::drain_to(engine, sessions, sink);
+  stream::drain_all(engine, sessions);
   engine.stop();
 
   const auto shed = sessions.back()->stats();

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/common/error.hpp"
-#include "src/common/simd.hpp"
 #include "src/core/backend.hpp"
 #include "src/dsp/fir_design.hpp"
 #include "src/fixed/qformat.hpp"
@@ -254,13 +253,7 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
                            std::vector<Gc4016Output>& out) {
   if (in.empty()) return;
   // All-or-nothing: reject the whole block before any channel advances.
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  simd::minmax_i64(in.data(), in.size(), lo, hi);
-  if (!fixed::fits_bits(lo, config_.input_bits) ||
-      !fixed::fits_bits(hi, config_.input_bits))
-    throw SimulationError("Gc4016::process_block: input does not fit " +
-                          std::to_string(config_.input_bits) + " bits");
+  core::check_input_block(in, config_.input_bits, "Gc4016::process_block");
   // Capture each enabled channel's input count before the batch pass so the
   // planar outputs can be replayed in push()'s time order afterwards.
   struct Cursor {

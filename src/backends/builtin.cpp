@@ -214,6 +214,7 @@ class FloatDdcBackend final : public BackendBase {
   void process_block(std::span<const std::int64_t> in,
                      std::vector<IqSample>& out) override {
     require_configured();
+    core::check_input_block(in, plan_.front_end.input_bits, name_.c_str());
     const double in_scale =
         std::ldexp(1.0, -(plan_.front_end.input_bits - 1));
     const double out_gain =
@@ -342,6 +343,7 @@ class FpgaBackend final : public BackendBase {
   void process_block(std::span<const std::int64_t> in,
                      std::vector<IqSample>& out) override {
     require_configured();
+    core::check_input_block(in, plan_.front_end.input_bits, name_.c_str());
     for (std::int64_t x : in) {
       if (auto y = top_->clock(x)) out.push_back(*y);
     }
@@ -407,6 +409,7 @@ class GppBackend final : public BackendBase {
   void process_block(std::span<const std::int64_t> in,
                      std::vector<IqSample>& out) override {
     require_configured();
+    core::check_input_block(in, plan_.front_end.input_bits, name_.c_str());
     // Incremental: the DdcStream keeps the program's registers, CIC/FIR
     // state and sample ring alive across blocks, so a long stream costs
     // O(blocks) while staying bit-identical to one batch run() over the
@@ -465,6 +468,7 @@ class MontiumBackend final : public BackendBase {
   void process_block(std::span<const std::int64_t> in,
                      std::vector<IqSample>& out) override {
     require_configured();
+    core::check_input_block(in, plan_.front_end.input_bits, name_.c_str());
     for (std::int64_t x : in) {
       if (auto y = map_->step(x)) out.push_back(*y);
     }

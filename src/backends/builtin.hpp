@@ -2,10 +2,12 @@
 //
 // One backend per execution path in the repo:
 //
-//   native-pipeline  core::DdcPipeline (the functional twin itself); runs
-//                    any valid plan, supports kSplice reconfiguration.
-//   fixed-ddc        core::FixedDdc shim (plan-constructed); any plan,
-//                    kSplice via the shared pipeline.
+//   native-pipeline  core::FusedChainExec on the plan's entry in the
+//                    process-wide CompiledPlanCache; runs any valid plan,
+//                    supports kSplice reconfiguration.
+//   fixed-ddc        the staged core::DdcPipeline (the functional twin)
+//                    through the core::FixedDdc shim; any plan, kSplice via
+//                    the pipeline.
 //   float-ddc        double-precision rails built from the same plan;
 //                    any plan, quantisation-bounded agreement.
 //   asic-gc4016      the GC4016 quad-DDC chip model (one channel); only

@@ -1,9 +1,6 @@
 #include "src/common/metrics.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <mutex>
 
 namespace twiddc::metrics {
 
@@ -95,76 +92,6 @@ HistogramSnapshot Histogram::snapshot() const {
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.max = max_.load(std::memory_order_relaxed);
   return snap;
-}
-
-struct Registry::Impl {
-  mutable std::mutex mu;
-  // Ordered maps: to_json renders sorted by name.  unique_ptr keeps
-  // references stable across rehash-free inserts and lets the instrument
-  // types stay non-movable (they hold atomics).
-  std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
-};
-
-Registry& Registry::instance() {
-  static Registry* r = new Registry();  // leaked: metrics outlive everything
-  return *r;
-}
-
-Registry::Impl& Registry::impl() {
-  static Impl* i = new Impl();
-  return *i;
-}
-const Registry::Impl& Registry::impl() const {
-  return const_cast<Registry*>(this)->impl();
-}
-
-Counter& Registry::counter(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto& slot = im.counters[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto& slot = im.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto& slot = im.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
-std::string Registry::to_json() const {
-  const Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  JsonLine counters;
-  for (const auto& [name, c] : im.counters)
-    counters.field(name, static_cast<std::size_t>(c->value()));
-  JsonLine gauges;
-  for (const auto& [name, g] : im.gauges) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(g->value()));
-    gauges.raw_field(name, buf);
-  }
-  JsonLine histograms;
-  for (const auto& [name, h] : im.histograms)
-    histograms.object(name, h->to_json());
-  JsonLine root;
-  root.object("counters", counters)
-      .object("gauges", gauges)
-      .object("histograms", histograms);
-  return root.str();
 }
 
 }  // namespace twiddc::metrics

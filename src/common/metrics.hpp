@@ -1,48 +1,21 @@
-// twiddc::metrics -- the telemetry registry: named counters, gauges and
-// log-bucketed histograms, rendered to JSON through one code path
-// (common/json.hpp) so StreamEngine::stats_json() and the bench writers
-// stop hand-rolling their own blocks.
+// twiddc::metrics -- log-bucketed latency histograms, rendered to JSON
+// through common/json.hpp.  StreamEngine::stats_json()'s "latency" block
+// and the throughput bench's overload line report through them.
 //
-// All mutators are lock-free atomics; counts are exact (fetch_add), only
-// histogram *quantiles* are approximate (log-linear buckets, 8 linear
-// sub-buckets per octave => a reported quantile is the bucket upper bound,
-// at most ~12.5% above the true value).  Everything is safe to hammer
-// from many threads concurrently -- the TSan test asserts exactness.
+// record() is lock-free; counts are exact (fetch_add), only *quantiles*
+// are approximate (log-linear buckets, 8 linear sub-buckets per octave =>
+// a reported quantile is the bucket upper bound, at most ~12.5% above the
+// true value).  Safe to hammer from many threads concurrently -- the TSan
+// test asserts exactness.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "src/common/json.hpp"
 
 namespace twiddc::metrics {
-
-/// Monotonic event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-written instantaneous value (queue depth, active workers, ...).
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Log-linear histogram bucket layout, shared by Histogram and its
 /// snapshots.  Values 0..15 land in exact unit buckets; above that each
@@ -81,7 +54,7 @@ struct HistogramSnapshot {
   [[nodiscard]] JsonLine to_json(double scale = 1.0) const;
 };
 
-/// Concurrent log-bucketed histogram.  record() is two relaxed fetch_adds,
+/// Concurrent log-bucketed histogram.  record() is three relaxed fetch_adds,
 /// one CAS-loop max update, and the bucket index math.
 class Histogram {
  public:
@@ -103,29 +76,6 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
-};
-
-/// Process-wide named-metric registry.  Lookup interns the name under a
-/// mutex and returns a stable reference; call sites cache the reference
-/// (instruments are never destroyed).  to_json() renders every registered
-/// instrument sorted by name -- the one stats surface shared by the engine
-/// and bench writers.
-class Registry {
- public:
-  static Registry& instance();
-
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}
-  [[nodiscard]] std::string to_json() const;
-
- private:
-  Registry() = default;
-  struct Impl;
-  Impl& impl();
-  [[nodiscard]] const Impl& impl() const;
 };
 
 }  // namespace twiddc::metrics

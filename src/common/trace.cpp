@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -339,7 +338,6 @@ std::string to_chrome_json(const Snapshot& snap) {
     switch (e.phase) {
       case Phase::kInstant: line.field("ph", "i").field("s", "t"); break;
       case Phase::kComplete: line.field("ph", "X"); break;
-      case Phase::kCounter: line.field("ph", "C"); break;
     }
     line.field("name", name).field("cat", category_name(e.category))
         .raw_field("ts", us(e.ts_ns))
@@ -347,12 +345,8 @@ std::string to_chrome_json(const Snapshot& snap) {
         .field("tid", static_cast<std::size_t>(e.tid));
     if (e.phase == Phase::kComplete) line.raw_field("dur", us(t0 + e.arg1));
     JsonLine args;
-    if (e.phase == Phase::kCounter) {
-      args.field("value", static_cast<std::size_t>(e.arg0));
-    } else {
-      args.field("arg0", static_cast<std::size_t>(e.arg0))
-          .field("arg1", static_cast<std::size_t>(e.arg1));
-    }
+    args.field("arg0", static_cast<std::size_t>(e.arg0))
+        .field("arg1", static_cast<std::size_t>(e.arg1));
     line.object("args", args);
     append(line);
   }
@@ -365,126 +359,12 @@ std::string to_chrome_json(const Snapshot& snap) {
   return out;
 }
 
-std::string to_ndjson(const Snapshot& snap) {
-  std::string out;
-  for (const auto& e : snap.events) {
-    JsonLine line;
-    line.field("ts_ns", static_cast<std::size_t>(e.ts_ns))
-        .field("cat", category_name(e.category))
-        .field("name", e.name < snap.names.size() ? snap.names[e.name] : "?")
-        .field("phase", e.phase == Phase::kInstant
-                            ? "instant"
-                            : e.phase == Phase::kComplete ? "complete"
-                                                          : "counter")
-        .field("tid", static_cast<std::size_t>(e.tid))
-        .field("arg0", static_cast<std::size_t>(e.arg0))
-        .field("arg1", static_cast<std::size_t>(e.arg1));
-    out += line.str();
-    out += "\n";
-  }
-  return out;
-}
-
 bool write_chrome_trace(const std::string& path) {
   const std::string json = to_chrome_json(snapshot());
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
-}
-
-namespace {
-
-constexpr char kDumpMagic[8] = {'T', 'W', 'T', 'R', 'C', '1', '\n', '\0'};
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (i * 8)));
-}
-bool get_u64(std::FILE* f, std::uint64_t& v) {
-  unsigned char buf[8];
-  if (std::fread(buf, 1, 8, f) != 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (i * 8);
-  return true;
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
-}
-bool get_str(std::FILE* f, std::string& s) {
-  std::uint64_t n = 0;
-  if (!get_u64(f, n) || n > (std::uint64_t{1} << 20)) return false;
-  s.resize(static_cast<std::size_t>(n));
-  return n == 0 || std::fread(s.data(), 1, s.size(), f) == s.size();
-}
-
-}  // namespace
-
-bool write_binary_dump(const std::string& path) {
-  const Snapshot snap = snapshot();
-  std::string out(kDumpMagic, sizeof kDumpMagic);
-  put_u64(out, snap.dropped);
-  put_u64(out, snap.names.size());
-  for (const auto& n : snap.names) put_str(out, n);
-  put_u64(out, snap.threads.size());
-  for (const auto& [tid, name] : snap.threads) {
-    put_u64(out, tid);
-    put_str(out, name);
-  }
-  put_u64(out, snap.events.size());
-  for (const auto& e : snap.events) {
-    put_u64(out, e.ts_ns);
-    put_u64(out, e.arg0);
-    put_u64(out, e.arg1);
-    put_u64(out, (static_cast<std::uint64_t>(e.tid) << 32) |
-                     (static_cast<std::uint64_t>(e.name) << 16) |
-                     (static_cast<std::uint64_t>(e.category) << 8) |
-                     static_cast<std::uint64_t>(e.phase));
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool read_binary_dump(const std::string& path, Snapshot& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = false;
-  char magic[sizeof kDumpMagic];
-  std::uint64_t n = 0;
-  do {
-    if (std::fread(magic, 1, sizeof magic, f) != sizeof magic) break;
-    if (std::memcmp(magic, kDumpMagic, sizeof kDumpMagic) != 0) break;
-    if (!get_u64(f, out.dropped)) break;
-    if (!get_u64(f, n) || n > 65536) break;
-    out.names.resize(static_cast<std::size_t>(n));
-    bool bad = false;
-    for (auto& s : out.names) bad = bad || !get_str(f, s);
-    if (bad) break;
-    if (!get_u64(f, n) || n > (std::uint64_t{1} << 20)) break;
-    out.threads.resize(static_cast<std::size_t>(n));
-    for (auto& [tid, name] : out.threads) {
-      std::uint64_t t = 0;
-      bad = bad || !get_u64(f, t) || !get_str(f, name);
-      tid = static_cast<std::uint32_t>(t);
-    }
-    if (bad) break;
-    if (!get_u64(f, n) || n > (std::uint64_t{1} << 32)) break;
-    out.events.resize(static_cast<std::size_t>(n));
-    for (auto& e : out.events) {
-      std::uint64_t packed = 0;
-      bad = bad || !get_u64(f, e.ts_ns) || !get_u64(f, e.arg0) ||
-            !get_u64(f, e.arg1) || !get_u64(f, packed);
-      e.tid = static_cast<std::uint32_t>(packed >> 32);
-      e.name = static_cast<std::uint16_t>(packed >> 16);
-      e.category = static_cast<Category>((packed >> 8) & 0xff);
-      e.phase = static_cast<Phase>(packed & 0xff);
-    }
-    ok = !bad;
-  } while (false);
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace twiddc::trace

@@ -9,10 +9,9 @@
 // throughput.
 //
 // Readers (snapshot/export) merge all rings into one timeline sorted by
-// monotonic timestamp.  Exporters produce Chrome trace format (load the
-// file in chrome://tracing or https://ui.perfetto.dev) with instant,
-// duration ("complete") and counter events, newline-delimited JSON, and a
-// compact binary dump that tools/trace_dump converts offline.
+// monotonic timestamp.  The exporter produces Chrome trace format (load
+// the file in chrome://tracing or https://ui.perfetto.dev) with instant
+// and duration ("complete") events.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +44,10 @@ inline constexpr std::uint32_t kAllCategories =
 enum class Phase : std::uint8_t {
   kInstant = 0,   ///< "i": a point in time
   kComplete = 1,  ///< "X": a span; ts = start, arg1 = duration in ns
-  kCounter = 2,   ///< "C": a sampled value; arg0 = value
 };
 
 /// One exported event.  The in-ring representation is atomic; this is the
-/// plain POD form snapshots and dumps carry.
+/// plain POD form snapshots carry.
 struct TraceEvent {
   std::uint64_t ts_ns = 0;  ///< steady_clock nanoseconds (monotonic)
   std::uint64_t arg0 = 0;
@@ -106,9 +104,6 @@ inline void instant(Category c, std::uint16_t name, std::uint64_t arg0 = 0,
                     std::uint64_t arg1 = 0) {
   if (enabled(c)) emit(c, name, Phase::kInstant, arg0, arg1);
 }
-inline void counter(Category c, std::uint16_t name, std::uint64_t value) {
-  if (enabled(c)) emit(c, name, Phase::kCounter, value, 0);
-}
 
 /// RAII duration span: one kComplete event at destruction carrying the
 /// start timestamp and elapsed ns (arg1).  A span on a disabled category
@@ -120,9 +115,6 @@ class Span {
   ~Span() { finish(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-
-  /// Replaces the user argument (e.g. blocks processed, known only at end).
-  void set_arg(std::uint64_t arg0) { arg0_ = arg0; }
 
   /// Emits the event now instead of at scope exit.
   void finish();
@@ -159,18 +151,10 @@ struct Snapshot {
 void reset();
 
 /// Chrome trace format: {"traceEvents": [...]} with thread-name metadata,
-/// "i"/"X"/"C" events and ts/dur in microseconds.
+/// "i"/"X" events and ts/dur in microseconds.
 [[nodiscard]] std::string to_chrome_json(const Snapshot& snap);
-
-/// Newline-delimited JSON: one flat object per event.
-[[nodiscard]] std::string to_ndjson(const Snapshot& snap);
 
 /// Writes to_chrome_json(snapshot()) to `path`; false on I/O error.
 bool write_chrome_trace(const std::string& path);
-
-/// Compact binary form of a snapshot ("TWTRC1" magic), the capture format
-/// tools/trace_dump converts to .trace.json offline.
-bool write_binary_dump(const std::string& path);
-[[nodiscard]] bool read_binary_dump(const std::string& path, Snapshot& out);
 
 }  // namespace twiddc::trace

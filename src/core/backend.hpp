@@ -119,8 +119,11 @@ class ArchitectureBackend {
   /// The configured plan (valid after configure()).
   [[nodiscard]] virtual const ChainPlan& plan() const = 0;
 
-  /// Runs a block of raw input samples (must fit the plan's input width),
-  /// appending produced outputs.  Backends with in_phase_only report q = 0.
+  /// Runs a block of raw input samples, appending produced outputs.
+  /// Backends with in_phase_only report q = 0.  Every sample must fit the
+  /// plan's front_end.input_bits: a block holding one that does not throws
+  /// SimulationError before any state moves and appends nothing
+  /// (check_input_block).  An empty block always passes.
   virtual void process_block(std::span<const std::int64_t> in,
                              std::vector<IqSample>& out) = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 #include <tuple>
 
 #include "src/common/error.hpp"
@@ -171,18 +170,15 @@ void ChannelBank::process_block(std::span<const std::int64_t> in,
   // Same all-or-nothing contract as DdcPipeline::process_block, over the
   // whole block: a single channel's own check sees one tile at a time, so
   // it would throw only after the earlier tiles had advanced every channel.
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  simd::minmax_i64(in.data(), in.size(), lo, hi);
+  // A block that fits the narrowest enabled channel fits them all, so one
+  // sweep covers the bank.
+  int narrowest = 0;  // 0: no channel enabled
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     if (!enabled_[c]) continue;
     const int bits = channels_[c].plan().front_end.input_bits;
-    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, bits) ? hi : lo;
-      throw SimulationError("ChannelBank: input " + std::to_string(bad) +
-                            " does not fit " + std::to_string(bits) + " bits");
-    }
+    if (narrowest == 0 || bits < narrowest) narrowest = bits;
   }
+  if (narrowest > 0) check_input_block(in, narrowest, "ChannelBank::process_block");
 
   // Tile-outer, unit-inner: every unit advances through tile t before any
   // unit starts tile t+1.

@@ -714,6 +714,18 @@ void DdcPipeline::swap_plan(const ChainPlan& plan, SwapMode mode) {
   samples_out_ = 0;
 }
 
+void check_input_block(std::span<const std::int64_t> in, int input_bits,
+                       const char* who) {
+  if (in.empty()) return;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  simd::minmax_i64(in.data(), in.size(), lo, hi);
+  if (fixed::fits_bits(lo, input_bits) && fixed::fits_bits(hi, input_bits)) return;
+  const std::int64_t bad = fixed::fits_bits(lo, input_bits) ? hi : lo;
+  throw SimulationError(std::string(who) + ": input " + std::to_string(bad) +
+                        " does not fit " + std::to_string(input_bits) + " bits");
+}
+
 std::optional<IqSample> DdcPipeline::push(std::int64_t x) {
   if (!fixed::fits_bits(x, plan_.front_end.input_bits))
     throw SimulationError("DdcPipeline::push: input " + std::to_string(x) +
@@ -739,17 +751,7 @@ void DdcPipeline::process_block(std::span<const std::int64_t> in,
   // Validate the whole block up front: a mid-block throw would otherwise
   // leave the NCO advanced past the rails (all-or-nothing semantics).  One
   // min/max sweep replaces the per-sample branch.
-  const int input_bits = plan_.front_end.input_bits;
-  if (!in.empty()) {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    simd::minmax_i64(in.data(), in.size(), lo, hi);
-    if (!fixed::fits_bits(lo, input_bits) || !fixed::fits_bits(hi, input_bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, input_bits) ? hi : lo;
-      throw SimulationError("DdcPipeline::process_block: input " + std::to_string(bad) +
-                            " does not fit " + std::to_string(input_bits) + " bits");
-    }
-  }
+  check_input_block(in, plan_.front_end.input_bits, "DdcPipeline::process_block");
   cos_.resize(in.size());
   sin_.resize(in.size());
   nco_.next_block(cos_, sin_);

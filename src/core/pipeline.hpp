@@ -267,6 +267,13 @@ int plan_output_bits(const ChainPlan& plan);
 /// 1 / 2^(plan_output_bits - 1).
 double plan_output_scale(const ChainPlan& plan);
 
+/// Throws SimulationError naming `who` unless every sample of `in` fits a
+/// signed `input_bits`-bit word; an empty block passes.  One min/max sweep.
+/// Block entry points call it before any state moves, so a rejected block
+/// leaves them untouched (see ArchitectureBackend::process_block).
+void check_input_block(std::span<const std::int64_t> in, int input_bits,
+                       const char* who);
+
 /// The full fixed-point DDC: NCO + mixer front end feeding two rate-locked
 /// rails built from a ChainPlan.
 class DdcPipeline {

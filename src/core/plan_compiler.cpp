@@ -441,17 +441,7 @@ void FusedChainExec::process_block(std::span<const std::int64_t> in,
   const FrontEndSpec& fe = plan.front_end;
   // All-or-nothing input validation, exactly like the staged pipeline: a
   // mid-block throw must not leave the NCO advanced past the rails.
-  if (!in.empty()) {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    simd::minmax_i64(in.data(), in.size(), lo, hi);
-    if (!fixed::fits_bits(lo, fe.input_bits) || !fixed::fits_bits(hi, fe.input_bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, fe.input_bits) ? hi : lo;
-      throw SimulationError("FusedChainExec::process_block: input " +
-                            std::to_string(bad) + " does not fit " +
-                            std::to_string(fe.input_bits) + " bits");
-    }
-  }
+  check_input_block(in, fe.input_bits, "FusedChainExec::process_block");
 
   const std::uint32_t step = plan_->tuning_word();
   for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {

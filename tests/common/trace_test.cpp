@@ -1,6 +1,6 @@
 // The lock-free tracing layer: ring wrap + drop accounting, multi-thread
 // merge order, the category mask and runtime kill switch, and well-formed
-// Chrome-trace / NDJSON / binary-dump output.  Tests share process-wide
+// Chrome-trace output and its file export.  Tests share process-wide
 // trace state, so every test starts from reset() + a known mask and
 // restores the disabled default on exit.
 #include "src/common/trace.hpp"
@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +37,6 @@ TEST_F(TraceFixture, DisabledByDefaultRecordsNothing) {
   ASSERT_EQ(enabled_mask() & kAllCategories, 0u);
   const std::uint16_t name = intern("noop");
   instant(Category::kSched, name, 1, 2);
-  counter(Category::kStream, name, 3);
   { Span span(Category::kCache, name); }
   const Snapshot snap = snapshot();
   EXPECT_TRUE(snap.events.empty());
@@ -278,78 +279,42 @@ TEST_F(TraceFixture, ChromeExportIsWellFormedAndCarriesEvents) {
   set_thread_name("chrome-test");
   const std::uint16_t iname = intern("chrome_instant");
   const std::uint16_t sname = intern("chrome_span");
-  const std::uint16_t cname = intern("chrome_counter");
   instant(Category::kStream, iname, 1, 2);
   { Span span(Category::kSched, sname, 3); }
-  counter(Category::kCache, cname, 99);
   const std::string json = to_chrome_json(snapshot());
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("chrome_instant"), std::string::npos);
   EXPECT_NE(json.find("chrome_span"), std::string::npos);
-  EXPECT_NE(json.find("chrome_counter"), std::string::npos);
   EXPECT_NE(json.find("chrome-test"), std::string::npos);  // thread metadata
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
 }
 
-TEST_F(TraceFixture, NdjsonExportsOneObjectPerEvent) {
+/// Whole contents of `path`; empty if it cannot be opened.
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(TraceFixture, WriteChromeTraceWritesTheSnapshot) {
   set_enabled(kAllCategories);
-  const std::uint16_t name = intern("nd");
-  for (int i = 0; i < 5; ++i)
-    instant(Category::kCache, name, static_cast<std::uint64_t>(i), 0);
-  const std::string nd = to_ndjson(snapshot());
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while ((pos = nd.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 5u);
-  EXPECT_NE(nd.find("\"name\": \"nd\""), std::string::npos);
-}
-
-TEST_F(TraceFixture, BinaryDumpRoundTripsEverything) {
-  set_enabled(kAllCategories);
-  set_thread_name("dump-test");
-  const std::uint16_t name = intern("dump_event");
-  instant(Category::kStream, name, 11, 22);
-  { Span span(Category::kSched, name, 33); }
-  const Snapshot original = snapshot();
-  const std::string path = ::testing::TempDir() + "trace_dump_roundtrip.bin";
-  ASSERT_TRUE(write_binary_dump(path));
-  Snapshot loaded;
-  ASSERT_TRUE(read_binary_dump(path, loaded));
+  const std::uint16_t iname = intern("file_instant");
+  const std::uint16_t sname = intern("file_span");
+  instant(Category::kStream, iname, 4, 5);
+  { Span span(Category::kCache, sname, 6); }
+  const std::string path = ::testing::TempDir() + "trace_write_test.trace.json";
+  ASSERT_TRUE(write_chrome_trace(path));
+  // Nothing emits in between, so the file holds exactly this rendering.
+  const std::string expected = to_chrome_json(snapshot());
+  const std::string written = read_file(path);
   std::remove(path.c_str());
-  ASSERT_EQ(loaded.events.size(), original.events.size());
-  for (std::size_t i = 0; i < loaded.events.size(); ++i) {
-    EXPECT_EQ(loaded.events[i].ts_ns, original.events[i].ts_ns);
-    EXPECT_EQ(loaded.events[i].arg0, original.events[i].arg0);
-    EXPECT_EQ(loaded.events[i].arg1, original.events[i].arg1);
-    EXPECT_EQ(loaded.events[i].tid, original.events[i].tid);
-    EXPECT_EQ(loaded.events[i].name, original.events[i].name);
-    EXPECT_EQ(loaded.events[i].category, original.events[i].category);
-    EXPECT_EQ(loaded.events[i].phase, original.events[i].phase);
-  }
-  EXPECT_EQ(loaded.dropped, original.dropped);
-  EXPECT_EQ(loaded.names, original.names);
-  EXPECT_EQ(loaded.threads, original.threads);
-  // The loaded snapshot renders identically.
-  EXPECT_EQ(to_chrome_json(loaded), to_chrome_json(original));
-}
+  EXPECT_EQ(written, expected);
+  EXPECT_NE(written.find("file_instant"), std::string::npos);
+  EXPECT_NE(written.find("file_span"), std::string::npos);
 
-TEST_F(TraceFixture, ReadBinaryDumpRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "trace_dump_garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[] = "not a trace dump at all";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  Snapshot out;
-  EXPECT_FALSE(read_binary_dump(path, out));
-  std::remove(path.c_str());
-  EXPECT_FALSE(read_binary_dump(path, out));  // missing file
+  EXPECT_FALSE(write_chrome_trace(::testing::TempDir() +
+                                  "no_such_dir_for_trace/out.trace.json"));
 }
 
 TEST_F(TraceFixture, ConcurrentEmitAndSnapshotStayConsistent) {

@@ -184,13 +184,14 @@ class BackendConformance : public ::testing::Test {
   void SetUp() override { backends::register_builtin(); }
 };
 
+constexpr const char* kBuiltinBackends[] = {
+    backends::kNative, backends::kFixedDdc, backends::kFloatDdc,
+    backends::kGc4016, backends::kFpga, backends::kGpp, backends::kMontium};
+
 TEST_F(BackendConformance, RegistryExposesAllSevenExecutionPaths) {
   const auto names = core::BackendRegistry::instance().names();
   const std::set<std::string> have(names.begin(), names.end());
-  for (const char* want :
-       {backends::kNative, backends::kFixedDdc, backends::kFloatDdc,
-        backends::kGc4016, backends::kFpga, backends::kGpp, backends::kMontium})
-    EXPECT_TRUE(have.count(want)) << want;
+  for (const char* want : kBuiltinBackends) EXPECT_TRUE(have.count(want)) << want;
   EXPECT_THROW(core::BackendRegistry::instance().create("no-such-arch"),
                twiddc::ConfigError);
 }
@@ -326,6 +327,49 @@ TEST_F(BackendConformance, LoweringDiagnosticsNameTheUnmappableFeature) {
   // structure does not.
   auto gc = registry.create(backends::kGc4016);
   EXPECT_THROW(gc->configure(wide16), core::LoweringError);
+}
+
+TEST_F(BackendConformance, OutOfRangeBlockIsRejectedBeforeAnyStateMoves) {
+  // The process_block contract: one sample that does not fit the plan's
+  // input width rejects the whole block -- SimulationError, nothing
+  // appended, no state advanced -- however late in the block it sits.
+  const auto& registry = core::BackendRegistry::instance();
+  const auto cfg = DdcConfig::reference(10.0e6);
+  for (const char* name : kBuiltinBackends) {
+    SCOPED_TRACE(name);
+    auto backend = registry.create(name);
+    const ChainPlan plan = backend->plan_for(cfg);
+    backend->configure(plan);
+
+    std::vector<IqSample> out;
+    EXPECT_NO_THROW(backend->process_block({}, out));  // empty block passes
+    EXPECT_TRUE(out.empty());
+
+    // 30 output frames (80,640 samples): long enough to cross every
+    // backend's internal tile or window before the bad sample.
+    std::vector<std::int64_t> block = stimulus(plan, 30, 0x500u);
+    const std::size_t bad_at = block.size() - 100;
+    const std::int64_t good = block[bad_at];
+    block[bad_at] = std::int64_t{1} << plan.front_end.input_bits;
+    EXPECT_THROW(backend->process_block(block, out), SimulationError);
+    EXPECT_TRUE(out.empty()) << out.size() << " outputs appended";
+
+    // Nothing moved: the backend now runs a valid block like a fresh one.
+    out.clear();
+    block[bad_at] = good;
+    backend->process_block(block, out);
+    auto fresh = registry.create(name);
+    fresh->configure(plan);
+    std::vector<IqSample> expected;
+    fresh->process_block(block, expected);
+    const bool same =
+        std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
+                   [](const IqSample& a, const IqSample& b) {
+                     return a.i == b.i && a.q == b.q;
+                   });
+    EXPECT_TRUE(same) << out.size() << " outputs vs a fresh instance's "
+                      << expected.size();
+  }
 }
 
 TEST_F(BackendConformance, MontiumBackendReconfiguresByConfigurationReload) {

@@ -29,7 +29,6 @@
 #include "src/core/ddc_config.hpp"
 #include "src/dsp/signal.hpp"
 #include "src/stream/engine.hpp"
-#include "src/stream/sink.hpp"
 #include "src/stream/source.hpp"
 
 namespace twiddc::stream {

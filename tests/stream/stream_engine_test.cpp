@@ -23,7 +23,6 @@
 #include "src/core/ddc_config.hpp"
 #include "src/core/plan_compiler.hpp"
 #include "src/dsp/signal.hpp"
-#include "src/stream/sink.hpp"
 #include "src/stream/source.hpp"
 
 namespace twiddc::stream {
@@ -770,20 +769,6 @@ TEST_F(StreamEngineTest, SixtyFourIdenticalSessionsCompileOnePlan) {
   EXPECT_NE(json.find("\"hits\""), std::string::npos);
   EXPECT_NE(json.find("\"hit_rate\""), std::string::npos);
   EXPECT_NE(json.find("\"compile_seconds\""), std::string::npos);
-}
-
-TEST_F(StreamEngineTest, CollectingSinkAdapterMatchesDrainAll) {
-  const auto feed = make_feed(2688 * 4);
-  EngineOptions opts;
-  opts.block_samples = 2688;
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
-  auto session = engine.open(figure1_plan(), backends::kNative);
-  engine.start();
-  CollectingSink sink;
-  drain_to(engine, {session}, sink);
-  engine.stop();
-  expect_equal(sink.samples(session->id()),
-               one_shot(backends::kNative, figure1_plan(), feed), "sink adapter");
 }
 
 // --------------------------------------------- scheduler fairness / gpp
