@@ -1,17 +1,22 @@
 // Pipeline hot-path throughput: block-based process_block() vs per-sample
 // push() on the paper's Figure 1 chain (and the GC4016 Figure 4 channel),
 // per-kernel block rates (the SIMD-shim kernels NCO/mixer and polyphase
-// FIR, plus the unrolled-cascade CIC kernel, which is scalar by nature),
-// and multi-channel ChannelBank batch scaling -- emitted as machine-
-// readable JSON lines so successive PRs can track the performance
-// trajectory.  The "simd" field records the build's compiled ISA path; for
-// the cic2/cic5 lines it identifies the build, not a vector kernel.
+// FIR, and the CIC kernels: the recursive integrator cascade, a
+// loop-carried chain that does not vectorise along time, and for cic2 also
+// Hogenauer's non-recursive form that the fused executor runs, whose plain
+// loops the compiler vectorises), and multi-channel ChannelBank batch
+// scaling -- emitted as machine-readable JSON lines so successive PRs can
+// track the performance trajectory.  The "simd" field records the build's
+// compiled ISA path; for the cic2/cic5 lines it identifies the build, not an
+// intrinsic kernel.
 //
 // Output format (one JSON object per line, prefixed section aside):
 //   {"bench": "throughput_pipeline", "chain": "figure1:wide16",
 //    "push_msamples_per_s": ..., "block_msamples_per_s": ...,
 //    "speedup_block_over_push": ..., "block_samples": ..., "simd": "avx2"}
-//   {"bench": "throughput_pipeline", "kernel": "cic2", ...}
+//   {"bench": "throughput_pipeline", "kernel": "cic2", ...,
+//    "nonrecursive_msamples_per_s": ...,
+//    "speedup_nonrecursive_over_recursive": ..., "bit_exact": true}
 //   {"bench": "throughput_pipeline", "chain": "channel_bank:figure1",
 //    "channels": 8, "workers": 1, "aggregate_msamples_per_s": ...,
 //    "scaling_vs_single": ...}
@@ -304,7 +309,31 @@ void bench_kernel_cic(const std::string& name, int stages, int decimation) {
     out.clear();
     cic.process_block(input, out);
   });
-  kernel_line(name, t, input.size());
+  JsonLine line = twiddc::benchutil::kernel_json("throughput_pipeline", name, t,
+                                                 input.size())
+                      .field("simd", twiddc::simd::isa_name());
+  if (twiddc::dsp::NonRecursiveCic::accepts(cc)) {
+    // The same stage in the fused executor's non-recursive form, on the same
+    // input; bit_exact diffs one block from reset state against the
+    // recursive kernel.
+    twiddc::dsp::NonRecursiveCic nr(cc);
+    std::vector<std::int64_t> got;
+    const Throughput f = measure_throughput(input.size(), [&] {
+      got.clear();
+      nr.process_block(input, got);
+    });
+    cic.reset();
+    nr.reset();
+    out.clear();
+    got.clear();
+    cic.process_block(input, out);
+    nr.process_block(input, got);
+    line.field("nonrecursive_msamples_per_s", f.msamples_per_s())
+        .field("speedup_nonrecursive_over_recursive",
+               f.msamples_per_s() / t.msamples_per_s())
+        .field("bit_exact", out == got);
+  }
+  twiddc::benchutil::emit("kernel:" + name, line);
 }
 
 void bench_kernel_fir125() {

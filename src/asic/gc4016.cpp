@@ -224,7 +224,6 @@ void Gc4016Channel::process_block(std::span<const std::int64_t> in,
                                   std::vector<Gc4016Output>& out) {
   scratch_.clear();
   pipeline_->process_block(in, scratch_);
-  out.reserve(out.size() + scratch_.size());
   for (const auto& y : scratch_) out.push_back(Gc4016Output{channel_index_, y.i, y.q});
 }
 
@@ -282,7 +281,6 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
   // simultaneous outputs into the virtual channel -1.
   std::size_t remaining = 0;
   for (const auto& cur : cursors) remaining += planar_[cur.channel].size();
-  out.reserve(out.size() + remaining);
   while (remaining > 0) {
     // Earliest next output instant across channels (<= 4 of them).
     std::uint64_t t = 0;

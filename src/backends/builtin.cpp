@@ -234,7 +234,6 @@ class FloatDdcBackend final : public BackendBase {
     out_q_.clear();
     rails_[0].process_block(mix_i_, out_i_);
     rails_[1].process_block(mix_q_, out_q_);
-    out.reserve(out.size() + out_i_.size());
     for (std::size_t j = 0; j < out_i_.size(); ++j)
       out.push_back(IqSample{std::llround(out_i_[j] * out_gain),
                              std::llround(out_q_[j] * out_gain)});
@@ -298,7 +297,6 @@ class Gc4016Backend final : public BackendBase {
     require_configured();
     scratch_.clear();
     chip_->process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (const auto& y : scratch_) out.push_back(IqSample{y.i, y.q});
   }
   void reset() override {
@@ -416,7 +414,6 @@ class GppBackend final : public BackendBase {
     // concatenated input -- this backend can serve unbounded sessions.
     scratch_.clear();
     stream_->process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (const std::int32_t v : scratch_) out.push_back(IqSample{v, 0});
   }
   void reset() override {

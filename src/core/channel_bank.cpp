@@ -156,7 +156,6 @@ void ChannelBank::run_packed_tile(const Unit& unit,
     if (s.rail_i[l].size() != s.rail_q[l].size())
       throw SimulationError("ChannelBank: I/Q rails lost rate lock");
     std::vector<IqSample>& o = out[unit.ch[l]];
-    o.reserve(o.size() + s.rail_i[l].size());
     for (std::size_t j = 0; j < s.rail_i[l].size(); ++j)
       o.push_back(IqSample{s.rail_i[l][j], s.rail_q[l][j]});
     p.note_packed_block(m, s.rail_i[l].size());

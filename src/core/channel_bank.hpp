@@ -15,11 +15,14 @@
 // identical geometry are grouped four (AVX2) or eight (AVX-512) at a time,
 // and the group's integrator cascades (channels x I/Q) run through
 // dsp::CicDecimator::process_block_packed4/packed8 -- one register holding
-// every lane's integrator state per cascade stage.  The cascade is a
-// loop-carried dependency chain, so it cannot vectorise along time within
-// one channel; across channels it packs perfectly.  The NCO and mixer stay
-// per-lane (they already vectorise along time through the simd shim), and
-// every stage after the CIC runs per lane via
+// every lane's integrator state per cascade stage.  The recursive cascade
+// is a loop-carried dependency chain, so it does not vectorise along time
+// within one channel; across channels it packs perfectly.  (FusedChainExec
+// runs unpruned power-of-two stages on registers of at most 32 bits in the
+// non-recursive form, which does; the bank keeps the recursion until
+// per-channel executors are measured against packing.)  The NCO and mixer
+// stay per-lane (they already vectorise along time through the simd shim),
+// and every stage after the CIC runs per lane via
 // StageChain::process_block_from.  Packed execution is bit-exact with the
 // per-channel path, falls back to it when the SIMD tier is absent or
 // simd::set_enabled(false) is in force, and skips channels with

@@ -78,7 +78,6 @@ void FloatDdc::process_block(std::span<const double> in,
   rails_[1].process_block(mix_q_, out_q_);
   if (out_i_.size() != out_q_.size())
     throw SimulationError("FloatDdc: I/Q rails lost rate lock");
-  out.reserve(out.size() + out_i_.size());
   for (std::size_t j = 0; j < out_i_.size(); ++j)
     out.push_back(std::complex<double>(out_i_[j], -out_q_[j]));
 }

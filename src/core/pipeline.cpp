@@ -58,7 +58,6 @@ class FixedScaleStage final : public Stage<std::int64_t> {
   std::optional<std::int64_t> push(std::int64_t x) override { return req_.apply(x); }
   void process_block(std::span<const std::int64_t> in,
                      std::vector<std::int64_t>& out) override {
-    out.reserve(out.size() + in.size());
     for (std::int64_t x : in) out.push_back(req_.apply(x));
   }
   [[nodiscard]] bool can_splice(const StageSpec& spec) const override {
@@ -101,7 +100,6 @@ class FixedCicStage final : public Stage<std::int64_t> {
                      std::vector<std::int64_t>& out) override {
     scratch_.clear();
     cic_.process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (std::int64_t v : scratch_) out.push_back(req_.apply(v));
   }
   [[nodiscard]] bool can_splice(const StageSpec& spec) const override {
@@ -146,7 +144,6 @@ class FixedFirStage final : public Stage<std::int64_t> {
                      std::vector<std::int64_t>& out) override {
     scratch_.clear();
     fir_.process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (std::int64_t v : scratch_) out.push_back(req_.apply(v));
   }
   [[nodiscard]] bool can_splice(const StageSpec& spec) const override {
@@ -194,7 +191,6 @@ class FloatScaleStage final : public Stage<double> {
       : label_(spec.label), scale_(spec.post_scale) {}
   std::optional<double> push(double x) override { return x * scale_; }
   void process_block(std::span<const double> in, std::vector<double>& out) override {
-    out.reserve(out.size() + in.size());
     for (double x : in) out.push_back(x * scale_);
   }
   void reset() override {}
@@ -222,7 +218,6 @@ class FloatCicStage final : public Stage<double> {
   void process_block(std::span<const double> in, std::vector<double>& out) override {
     scratch_.clear();
     ma_.process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (double v : scratch_) out.push_back(v * scale_);
   }
   void reset() override { ma_.reset(); }
@@ -250,7 +245,6 @@ class FloatFirStage final : public Stage<double> {
   void process_block(std::span<const double> in, std::vector<double>& out) override {
     scratch_.clear();
     fir_.process_block(in, scratch_);
-    out.reserve(out.size() + scratch_.size());
     for (double v : scratch_) out.push_back(v * scale_);
   }
   void reset() override { fir_.reset(); }
@@ -767,7 +761,6 @@ void DdcPipeline::process_block(std::span<const std::int64_t> in,
   if (out_i_.size() != out_q_.size())
     throw SimulationError("DdcPipeline: I/Q rails lost rate lock");
 
-  out.reserve(out.size() + out_i_.size());
   for (std::size_t j = 0; j < out_i_.size(); ++j)
     out.push_back(IqSample{out_i_[j], out_q_[j]});
   samples_in_ += in.size();

@@ -1,8 +1,10 @@
 #include "src/core/plan_compiler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -85,6 +87,35 @@ std::string plan_key(const ChainPlan& plan, bool structural) {
     }
   }
   return key;
+}
+
+dsp::CicDecimator::Config cic_config(const StageSpec& st) {
+  dsp::CicDecimator::Config c;
+  c.stages = st.cic_stages;
+  c.decimation = st.decimation;
+  c.diff_delay = st.diff_delay;
+  c.input_bits = st.input_bits;
+  c.register_bits = st.register_bits;
+  c.prune_shifts = st.prune_shifts;
+  return c;
+}
+
+/// One mixer rail as a plain int32 loop: narrow(shift_right(x * m)).  Exact
+/// when the product fits 31 bits (CompiledPlan::int32_mixer()): then so do
+/// the product plus its rounding offset and both saturation bounds.
+/// `bits` == 0 leaves the shifted product unnarrowed, as
+/// simd::mul_shift_narrow_block does.
+void mix_rail_i32(const std::int64_t* x, const std::int32_t* m, std::size_t n,
+                  int shift, int bits, fixed::Rounding rounding, std::int32_t* out) {
+  const std::int32_t round = rounding == fixed::Rounding::kNearest && shift > 0
+                                 ? std::int32_t{1} << (shift - 1)
+                                 : 0;
+  const auto hi = static_cast<std::int32_t>(bits == 0 ? INT32_MAX : fixed::max_for_bits(bits));
+  const auto lo = static_cast<std::int32_t>(bits == 0 ? INT32_MIN : fixed::min_for_bits(bits));
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::int32_t v = (static_cast<std::int32_t>(x[k]) * m[k] + round) >> shift;
+    out[k] = std::min(std::max(v, lo), hi);
+  }
 }
 
 }  // namespace
@@ -180,18 +211,14 @@ CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
     dsp::ComplexMixer probe(mc);
     (void)probe;
   }
+  // Each CIC stage's form comes from its geometry: pruning breaks the
+  // linearity the non-recursive form relies on, only power-of-two
+  // decimations factor into halving sub-stages here, and only registers of
+  // at most 32 bits run on its 32-bit lanes.  accepts() also validates the
+  // geometry, throwing where CicDecimator would.
   for (const StageSpec& st : plan_.stages) {
-    if (st.kind == StageSpec::Kind::kCic) {
-      dsp::CicDecimator::Config c;
-      c.stages = st.cic_stages;
-      c.decimation = st.decimation;
-      c.diff_delay = st.diff_delay;
-      c.input_bits = st.input_bits;
-      c.register_bits = st.register_bits;
-      c.prune_shifts = st.prune_shifts;
-      dsp::CicDecimator probe(c);
-      (void)probe;
-    }
+    non_recursive_.push_back(st.kind == StageSpec::Kind::kCic &&
+                             dsp::NonRecursiveCic::accepts(cic_config(st)));
     if ((st.kind == StageSpec::Kind::kFirDecimator ||
          st.kind == StageSpec::Kind::kPolyphaseFir) &&
         st.taps.empty())
@@ -199,6 +226,9 @@ CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
                         "' has no quantised taps (fixed-rail execution "
                         "needs StageSpec::taps)");
   }
+
+  const FrontEndSpec& fe = plan_.front_end;
+  int32_mixer_ = fe.input_bits + fe.nco_amplitude_bits - 1 <= 31 && non_recursive_[0];
 
   tuning_word_ = dsp::PhaseAccumulator::tuning_word(plan_.front_end.nco_freq_hz,
                                                     plan_.input_rate_hz);
@@ -330,15 +360,13 @@ void FusedChainExec::build_stages() {
     st.decimation = spec.decimation;
     st.req = Conditioning{spec.post_shift, spec.narrow_bits, spec.rounding};
     if (spec.kind == StageSpec::Kind::kCic) {
-      dsp::CicDecimator::Config c;
-      c.stages = spec.cic_stages;
-      c.decimation = spec.decimation;
-      c.diff_delay = spec.diff_delay;
-      c.input_bits = spec.input_bits;
-      c.register_bits = spec.register_bits;
-      c.prune_shifts = spec.prune_shifts;
-      st.cic.emplace_back(c);
-      st.cic.emplace_back(c);
+      const dsp::CicDecimator::Config c = cic_config(spec);
+      for (int rail = 0; rail < 2; ++rail) {
+        if (plan_->non_recursive(i))
+          st.nr.emplace_back(c);
+        else
+          st.cic.emplace_back(c);
+      }
     } else if (spec.kind == StageSpec::Kind::kFirDecimator ||
                spec.kind == StageSpec::Kind::kPolyphaseFir) {
       st.taps = plan_->stage_taps()[i];
@@ -354,6 +382,7 @@ void FusedChainExec::reset() {
   phase_ = 0;
   for (StageState& st : stages_) {
     for (auto& c : st.cic) c.reset();
+    for (auto& c : st.nr) c.reset();
     st.tail[0].assign(st.tail[0].size(), 0);
     st.tail[1].assign(st.tail[1].size(), 0);
     st.fir_phase = 0;
@@ -384,26 +413,17 @@ void FusedChainExec::run_stage(StageState& st, int rail,
                                std::span<const std::int64_t> in,
                                std::vector<std::int64_t>& out) {
   const Conditioning req = st.req;
-  const auto apply = [&req](std::int64_t v) {
-    v = fixed::shift_right(v, req.shift, req.rounding);
-    return req.bits == 0 ? v : fixed::narrow(v, req.bits, fixed::Overflow::kSaturate);
-  };
+  const auto r = static_cast<std::size_t>(rail);
   switch (st.kind) {
     case StageSpec::Kind::kPassthrough:
       out.insert(out.end(), in.begin(), in.end());
       return;
-    case StageSpec::Kind::kScale: {
-      out.reserve(out.size() + in.size());
-      for (std::int64_t x : in) out.push_back(apply(x));
+    case StageSpec::Kind::kScale:
+      for (std::int64_t x : in) out.push_back(req.apply(x));
       return;
-    }
-    case StageSpec::Kind::kCic: {
-      window_.clear();
-      st.cic[static_cast<std::size_t>(rail)].process_block(in, window_);
-      out.reserve(out.size() + window_.size());
-      for (std::int64_t v : window_) out.push_back(apply(v));
+    case StageSpec::Kind::kCic:
+      run_cic(st, r, in, out);
       return;
-    }
     case StageSpec::Kind::kFirDecimator:
     case StageSpec::Kind::kPolyphaseFir: {
       // Flat-window form: both FIR forms compute the same MAC set and int64
@@ -412,7 +432,7 @@ void FusedChainExec::run_stage(StageState& st, int rail,
       // is fused into the same sweep.
       const TapSet& taps = *st.taps;
       const std::size_t n = taps.forward.size();
-      auto& tail = st.tail[static_cast<std::size_t>(rail)];
+      auto& tail = st.tail[r];
       window_.clear();
       window_.reserve(tail.size() + in.size());
       window_.insert(window_.end(), tail.begin(), tail.end());
@@ -423,8 +443,8 @@ void FusedChainExec::run_stage(StageState& st, int rail,
       // Input j produces an output when fir_phase + j + 1 is a multiple of d.
       for (std::size_t j = static_cast<std::size_t>(d - 1 - st.fir_phase);
            j < in.size(); j += static_cast<std::size_t>(d))
-        out.push_back(apply(simd::dot_i64(taps.reversed.data(), window_.data() + j, n,
-                                          narrow_ok)));
+        out.push_back(req.apply(
+            simd::dot_i64(taps.reversed.data(), window_.data() + j, n, narrow_ok)));
       if (tail.size() > 0)
         tail.assign(window_.end() - static_cast<std::ptrdiff_t>(tail.size()),
                     window_.end());
@@ -433,6 +453,20 @@ void FusedChainExec::run_stage(StageState& st, int rail,
       return;
     }
   }
+}
+
+template <typename In>
+void FusedChainExec::run_cic(StageState& st, std::size_t rail, std::span<const In> in,
+                             std::vector<std::int64_t>& out) {
+  const Conditioning req = st.req;
+  window_.clear();
+  if constexpr (std::is_same_v<In, std::int32_t>)
+    st.nr[rail].process_block(in, window_);  // int32_mixer() implies this form
+  else if (st.nr.empty())
+    st.cic[rail].process_block(in, window_);
+  else
+    st.nr[rail].process_block(in, window_);
+  for (std::int64_t v : window_) out.push_back(req.apply(v));
 }
 
 void FusedChainExec::process_block(std::span<const std::int64_t> in,
@@ -444,6 +478,7 @@ void FusedChainExec::process_block(std::span<const std::int64_t> in,
   check_input_block(in, fe.input_bits, "FusedChainExec::process_block");
 
   const std::uint32_t step = plan_->tuning_word();
+  const bool mixer_i32 = plan_->int32_mixer();
   for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {
     const std::span<const std::int64_t> tile =
         in.subspan(off, std::min(kFuseTileSamples, in.size() - off));
@@ -462,21 +497,34 @@ void FusedChainExec::process_block(std::span<const std::int64_t> in,
         phase_ += step;
       }
     }
-    mix_tile_[0].resize(m);
-    mix_tile_[1].resize(m);
-    simd::mul_shift_narrow_block(tile.data(), cos_tile_.data(), m, mixer_shift_,
-                                 fe.mixer_out_bits, fe.mixer_rounding,
-                                 fixed::Overflow::kSaturate, mixer_narrow_ok_,
-                                 mix_tile_[0].data());
-    simd::mul_shift_narrow_block(tile.data(), sin_tile_.data(), m, mixer_shift_,
-                                 fe.mixer_out_bits, fe.mixer_rounding,
-                                 fixed::Overflow::kSaturate, mixer_narrow_ok_,
-                                 mix_tile_[1].data());
+    const std::int32_t* const nco[2] = {cos_tile_.data(), sin_tile_.data()};
+    for (int rail = 0; rail < 2; ++rail) {
+      if (mixer_i32) {
+        mix32_tile_[rail].resize(m);
+        mix_rail_i32(tile.data(), nco[rail], m, mixer_shift_, fe.mixer_out_bits,
+                     fe.mixer_rounding, mix32_tile_[rail].data());
+      } else {
+        mix_tile_[rail].resize(m);
+        simd::mul_shift_narrow_block(tile.data(), nco[rail], m, mixer_shift_,
+                                     fe.mixer_out_bits, fe.mixer_rounding,
+                                     fixed::Overflow::kSaturate, mixer_narrow_ok_,
+                                     mix_tile_[rail].data());
+      }
+    }
 
     std::span<const std::int64_t> rail_out[2];
     for (int rail = 0; rail < 2; ++rail) {
       std::span<const std::int64_t> cur = mix_tile_[rail];
-      for (std::size_t s = 0; s < stages_.size(); ++s) {
+      std::size_t s = 0;
+      if (mixer_i32) {
+        // Stage 0 is a non-recursive CIC; it reads the int32 tile directly.
+        stage_a_[rail].clear();
+        run_cic(stages_[0], static_cast<std::size_t>(rail),
+                std::span<const std::int32_t>(mix32_tile_[rail]), stage_a_[rail]);
+        cur = stage_a_[rail];
+        s = 1;
+      }
+      for (; s < stages_.size(); ++s) {
         std::vector<std::int64_t>& buf =
             (s % 2 == 0 ? stage_a_ : stage_b_)[rail];
         buf.clear();
@@ -487,7 +535,6 @@ void FusedChainExec::process_block(std::span<const std::int64_t> in,
     }
     if (rail_out[0].size() != rail_out[1].size())
       throw SimulationError("FusedChainExec: I/Q rails lost rate lock");
-    out.reserve(out.size() + rail_out[0].size());
     for (std::size_t j = 0; j < rail_out[0].size(); ++j)
       out.push_back(IqSample{rail_out[0][j], rail_out[1][j]});
   }

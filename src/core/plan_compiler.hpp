@@ -28,13 +28,18 @@
 // never invalidates a running session -- the artifact dies with its last
 // holder.
 //
-// Bit-exactness: FusedChainExec reuses the exact arithmetic of the staged
-// path (simd::lut_sincos_block, simd::mul_shift_narrow_block,
-// dsp::CicDecimator, the flat-window FIR dot over simd::dot_i64, and
-// fixed::shift_right/narrow), and tiling is bit-exact because every stage is
-// streaming-composable.  The simd kill switch therefore forces the fused
-// kernels onto the scalar path too -- the existing bit-exactness tests cover
-// the fused code with no extra plumbing.
+// Bit-exactness: FusedChainExec computes what the staged path computes, and
+// tiling is bit-exact because every stage is streaming-composable.  It
+// reuses the staged arithmetic (simd::lut_sincos_block, dsp::CicDecimator,
+// the flat-window FIR dot over simd::dot_i64, fixed::shift_right/narrow)
+// except where CompiledPlan picks another realisation of the same integers:
+// an unpruned power-of-two CIC whose register fits 32 bits runs in
+// Hogenauer's non-recursive form (dsp::NonRecursiveCic, exact mod
+// 2^register_bits), and when stage 0 takes that form and the mixer product
+// fits 31 bits the mixer writes an int32 tile.  Those two are plain loops the compiler vectorises, so the
+// simd kill switch does not reach them; it still forces every intrinsic
+// kernel onto its scalar twin.  Tests diff FusedChainExec against
+// DdcPipeline in both kill-switch states and against the seed goldens.
 #pragma once
 
 #include <cstdint>
@@ -115,7 +120,8 @@ std::string structural_plan_key(const ChainPlan& plan);
 // ------------------------------------------------------------- CompiledPlan
 
 /// An immutable lowered plan: the validated ChainPlan, its canonical and
-/// structural keys, the shared NCO LUT, and one shared TapSet per FIR stage.
+/// structural keys, the shared NCO LUT, one shared TapSet per FIR stage, and
+/// each stage's form.
 /// Construction validates (throws ConfigError exactly where DdcPipeline
 /// would).  Never mutated after construction -- sessions on different
 /// threads execute from one instance without synchronisation.
@@ -136,6 +142,15 @@ class CompiledPlan {
   [[nodiscard]] const std::vector<std::shared_ptr<const TapSet>>& stage_taps() const {
     return stage_taps_;
   }
+  /// True when FusedChainExec runs stage `s` as dsp::NonRecursiveCic (see
+  /// NonRecursiveCic::accepts); every other CIC stage keeps
+  /// dsp::CicDecimator.  Chosen from the plan's structural fields alone, so a
+  /// kSplice never changes it.
+  [[nodiscard]] bool non_recursive(std::size_t s) const { return non_recursive_[s]; }
+  /// True when the fused mixer writes an int32 tile: its product fits 31
+  /// bits (input_bits + nco_amplitude_bits - 1 <= 31) and stage 0 is
+  /// non-recursive.
+  [[nodiscard]] bool int32_mixer() const { return int32_mixer_; }
   [[nodiscard]] int total_decimation() const { return plan_.total_decimation(); }
 
  private:
@@ -145,6 +160,8 @@ class CompiledPlan {
   std::uint32_t tuning_word_ = 0;
   std::shared_ptr<const std::vector<std::int32_t>> sine_table_;
   std::vector<std::shared_ptr<const TapSet>> stage_taps_;
+  std::vector<bool> non_recursive_;
+  bool int32_mixer_ = false;
 };
 
 // -------------------------------------------------------- CompiledPlanCache
@@ -195,12 +212,12 @@ class CompiledPlanCache {
 // ------------------------------------------------------------ FusedChainExec
 
 /// Per-session execution state over a shared CompiledPlan: the NCO phase,
-/// two CIC decimators per CIC stage (I and Q rails), one flat FIR delay line
-/// per FIR stage per rail.  process_block runs the whole chain tile by tile
-/// -- mixer+first-stage fused in L1, FIR decimation fused with the output
-/// narrow -- bit-exact with DdcPipeline::process_block on the same plan
-/// (pinned by tests across randomized topologies and both kill-switch
-/// states).
+/// two CIC kernels per CIC stage (I and Q rails; recursive or non-recursive
+/// as CompiledPlan::non_recursive says), one flat FIR delay line per FIR stage per
+/// rail.  process_block runs the whole chain tile by tile -- mixer+first-stage
+/// fused in L1, FIR decimation fused with the output narrow -- bit-exact with
+/// DdcPipeline::process_block on the same plan (pinned by tests across
+/// randomized topologies, CIC geometries and both kill-switch states).
 class FusedChainExec {
  public:
   explicit FusedChainExec(std::shared_ptr<const CompiledPlan> plan);
@@ -229,14 +246,21 @@ class FusedChainExec {
     int shift = 0;
     int bits = 0;
     fixed::Rounding rounding = fixed::Rounding::kTruncate;
+
+    [[nodiscard]] std::int64_t apply(std::int64_t v) const {
+      v = fixed::shift_right(v, shift, rounding);
+      return bits == 0 ? v : fixed::narrow(v, bits, fixed::Overflow::kSaturate);
+    }
   };
   /// Runtime state of one stage (both rails).
   struct StageState {
     StageSpec::Kind kind = StageSpec::Kind::kPassthrough;
     int decimation = 1;
     Conditioning req;
-    // kCic: one decimator per rail.
-    std::vector<dsp::CicDecimator> cic;  // [0]=I, [1]=Q (empty otherwise)
+    // kCic: one kernel per rail, [0]=I, [1]=Q, in the stage's form; the
+    // other vector stays empty (both are empty for other kinds).
+    std::vector<dsp::CicDecimator> cic;
+    std::vector<dsp::NonRecursiveCic> nr;
     // kFirDecimator / kPolyphaseFir: shared taps + flat delay line per rail.
     std::shared_ptr<const TapSet> taps;
     std::vector<std::int64_t> tail[2];  // last (taps-1) inputs, zero-seeded
@@ -247,6 +271,10 @@ class FusedChainExec {
   /// Runs stage `s` over one rail's tile, appending conditioned outputs.
   void run_stage(StageState& st, int rail, std::span<const std::int64_t> in,
                  std::vector<std::int64_t>& out);
+  /// run_stage's kCic case; an int32 input is the int32 mixer tile.
+  template <typename In>
+  void run_cic(StageState& st, std::size_t rail, std::span<const In> in,
+               std::vector<std::int64_t>& out);
 
   std::shared_ptr<const CompiledPlan> plan_;
   std::uint32_t phase_ = 0;
@@ -257,6 +285,7 @@ class FusedChainExec {
   std::vector<std::int32_t> cos_tile_;
   std::vector<std::int32_t> sin_tile_;
   std::vector<std::int64_t> mix_tile_[2];
+  std::vector<std::int32_t> mix32_tile_[2];  // when int32_mixer()
   std::vector<std::int64_t> stage_a_[2];
   std::vector<std::int64_t> stage_b_[2];
   std::vector<std::int64_t> window_;

@@ -1,5 +1,7 @@
 #include "src/dsp/cic.hpp"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "src/common/error.hpp"
@@ -8,7 +10,7 @@
 
 namespace twiddc::dsp {
 
-CicDecimator::CicDecimator(const Config& config) : config_(config) {
+int CicDecimator::checked_register_bits(const Config& config) {
   if (config.stages < 1 || config.stages > 8)
     throw ConfigError("CicDecimator: stages must be in [1,8], got " +
                       std::to_string(config.stages));
@@ -25,12 +27,18 @@ CicDecimator::CicDecimator(const Config& config) : config_(config) {
   for (int s : config.prune_shifts)
     if (s < 0 || s > 32) throw ConfigError("CicDecimator: prune shift out of range");
 
-  const int full = config.input_bits + growth_bits();
-  register_bits_ = config.register_bits == 0 ? full : config.register_bits;
-  if (register_bits_ < 2 || register_bits_ > 63)
-    throw ConfigError("CicDecimator: register width " + std::to_string(register_bits_) +
+  const int full = config.input_bits + fixed::cic_bit_growth(config.stages,
+                                                             config.decimation,
+                                                             config.diff_delay);
+  const int bits = config.register_bits == 0 ? full : config.register_bits;
+  if (bits < 2 || bits > 63)
+    throw ConfigError("CicDecimator: register width " + std::to_string(bits) +
                       " not representable (need 2..63 bits)");
+  return bits;
+}
 
+CicDecimator::CicDecimator(const Config& config)
+    : config_(config), register_bits_(checked_register_bits(config)) {
   integrators_.assign(static_cast<std::size_t>(config.stages), 0);
   comb_delays_.assign(static_cast<std::size_t>(config.stages * config.diff_delay), 0);
 }
@@ -91,7 +99,6 @@ std::optional<std::int64_t> CicDecimator::push(std::int64_t x) {
 
 void CicDecimator::process_block(std::span<const std::int64_t> in,
                                  std::vector<std::int64_t>& out) {
-  out.reserve(out.size() + in.size() / static_cast<std::size_t>(config_.decimation) + 1);
   // Dispatch to a kernel with a compile-time stage count so the integrator
   // cascade unrolls completely (the cascade is a loop-carried dependency
   // chain; the win is removing the per-stage loop/branch overhead, not SIMD).
@@ -207,9 +214,6 @@ bool CicDecimator::process_block_packed4(CicDecimator* const lanes[4],
         lanes[1]->integrators_[static_cast<std::size_t>(s)],
         lanes[0]->integrators_[static_cast<std::size_t>(s)]);
   int count = l0.decim_count_;
-  for (int l = 0; l < 4; ++l)
-    out[l]->reserve(out[l]->size() +
-                    n / static_cast<std::size_t>(decimation) + 1);
 
   for (std::size_t t = 0; t < n; ++t) {
     const __m256i x = _mm256_set_epi64x(in[3][t], in[2][t], in[1][t], in[0][t]);
@@ -284,8 +288,6 @@ TWIDDC_AVX512_TARGET void cic_packed8_kernel(
   for (int s = 0; s < stages; ++s)
     acc[s] = _mm512_set_epi64(integ[7][s], integ[6][s], integ[5][s], integ[4][s],
                               integ[3][s], integ[2][s], integ[1][s], integ[0][s]);
-  for (int l = 0; l < 8; ++l)
-    out[l]->reserve(out[l]->size() + n / static_cast<std::size_t>(decimation) + 1);
 
   for (std::size_t t = 0; t < n; ++t) {
     const __m512i x =
@@ -372,6 +374,173 @@ bool CicDecimator::process_block_packed8(CicDecimator* const lanes[8],
   (void)out;
   return false;
 #endif
+}
+
+// ------------------------------------------------------------ NonRecursiveCic
+
+namespace {
+
+/// The wrapping arithmetic lane: sums mod 2^32 reduce exactly to any
+/// register width up to 32.
+using Lane = std::uint32_t;
+
+/// Sub-stages run over chunks of this many inputs, so the windows stay
+/// L1-resident.
+constexpr std::size_t kNonRecursiveChunk = 1024;
+
+/// The calling thread's ping-pong sub-stage windows: N history lanes, then
+/// one chunk.  They are scratch, not state, so every kernel on a thread
+/// shares them.
+std::vector<Lane>& window(int which) {
+  thread_local std::vector<Lane> windows[2];
+  return windows[which];
+}
+
+/// The N + 1 binomial taps of (1 + z^-1)^N.
+template <int N>
+constexpr std::array<Lane, N + 1> binomial_taps() {
+  std::array<Lane, N + 1> c{};
+  c[0] = 1;
+  for (int n = 1; n <= N; ++n)
+    for (int j = n; j > 0; --j) c[j] += c[j - 1];
+  return c;
+}
+
+/// One decimating sub-stage.  `w` holds the sub-stage's last N inputs, then
+/// `n` new ones.  An input emits (1 + z^-1)^N when the inputs since the last
+/// output, `phase` included, reach two.  Returns the output count.
+template <int N>
+std::size_t halve_stage(const Lane* w, std::size_t n, int& phase, Lane* out) {
+  constexpr std::array<Lane, N + 1> c = binomial_taps<N>();
+  const std::size_t first = phase == 0 ? 1 : 0;
+  const std::size_t m = n > first ? (n - first + 1) / 2 : 0;
+  const Lane* x = w + N + first;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Lane* p = x + 2 * i;
+    Lane acc = 0;
+    for (int j = 0; j <= N; ++j) acc += c[j] * p[-j];
+    out[i] = acc;
+  }
+  phase = static_cast<int>((static_cast<std::size_t>(phase) + n) & 1);
+  return m;
+}
+
+/// The output-rate (1 + z^-1)^N stage of M = 2, over the same window layout.
+template <int N>
+void output_rate_stage(const Lane* w, std::size_t n, Lane* out) {
+  constexpr std::array<Lane, N + 1> c = binomial_taps<N>();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Lane* p = w + N + i;
+    Lane acc = 0;
+    for (int j = 0; j <= N; ++j) acc += c[j] * p[-j];
+    out[i] = acc;
+  }
+}
+
+std::size_t halve(int stages, const Lane* w, std::size_t n, int& phase, Lane* out) {
+  switch (stages) {
+    case 1: return halve_stage<1>(w, n, phase, out);
+    case 2: return halve_stage<2>(w, n, phase, out);
+    case 3: return halve_stage<3>(w, n, phase, out);
+    case 4: return halve_stage<4>(w, n, phase, out);
+    case 5: return halve_stage<5>(w, n, phase, out);
+    case 6: return halve_stage<6>(w, n, phase, out);
+    case 7: return halve_stage<7>(w, n, phase, out);
+    default: return halve_stage<8>(w, n, phase, out);
+  }
+}
+
+void output_rate_stage(int stages, const Lane* w, std::size_t n, Lane* out) {
+  switch (stages) {
+    case 1: return output_rate_stage<1>(w, n, out);
+    case 2: return output_rate_stage<2>(w, n, out);
+    case 3: return output_rate_stage<3>(w, n, out);
+    case 4: return output_rate_stage<4>(w, n, out);
+    case 5: return output_rate_stage<5>(w, n, out);
+    case 6: return output_rate_stage<6>(w, n, out);
+    case 7: return output_rate_stage<7>(w, n, out);
+    default: return output_rate_stage<8>(w, n, out);
+  }
+}
+
+}  // namespace
+
+bool NonRecursiveCic::accepts(const CicDecimator::Config& config) {
+  const int r = config.decimation;
+  return CicDecimator::checked_register_bits(config) <= 32 &&
+         config.prune_shifts.empty() && (r & (r - 1)) == 0;
+}
+
+NonRecursiveCic::NonRecursiveCic(const CicDecimator::Config& config)
+    : stages_(config.stages),
+      diff_delay_(config.diff_delay),
+      register_bits_(CicDecimator::checked_register_bits(config)) {
+  if (!accepts(config))
+    throw ConfigError("NonRecursiveCic: needs an unpruned CIC with a power-of-two "
+                      "decimation and at most 32 register bits, got R=" +
+                      std::to_string(config.decimation) + " and " +
+                      std::to_string(register_bits_) + " bits");
+  while ((1 << levels_) < config.decimation) ++levels_;
+  phase_.assign(static_cast<std::size_t>(levels_), 0);
+  hist_.assign(static_cast<std::size_t>(stages_ * (levels_ + 1)), 0);
+}
+
+void NonRecursiveCic::reset() {
+  phase_.assign(phase_.size(), 0);
+  hist_.assign(hist_.size(), 0);
+}
+
+template <typename In>
+void NonRecursiveCic::run(std::span<const In> in, std::vector<std::int64_t>& out) {
+  const std::size_t order = static_cast<std::size_t>(stages_);
+  const int wrap_shift = 32 - register_bits_;
+  std::vector<Lane>& wa = window(0);
+  std::vector<Lane>& wb = window(1);
+  wa.resize(order + kNonRecursiveChunk);
+  wb.resize(order + kNonRecursiveChunk);
+  // Each sub-stage reads window a and writes its outputs after the next
+  // sub-stage's history in b; the last N inputs of a become its history.
+  const auto load_history = [this, order](std::size_t stage, Lane* w) {
+    std::copy_n(hist_.begin() + static_cast<std::ptrdiff_t>(stage * order), order, w);
+  };
+  const auto save_history = [this, order](std::size_t stage, const Lane* w) {
+    std::copy_n(w, order, hist_.begin() + static_cast<std::ptrdiff_t>(stage * order));
+  };
+  const auto levels = static_cast<std::size_t>(levels_);
+  for (std::size_t off = 0; off < in.size(); off += kNonRecursiveChunk) {
+    std::size_t n = std::min(kNonRecursiveChunk, in.size() - off);
+    Lane* a = wa.data();
+    Lane* b = wb.data();
+    load_history(0, a);
+    for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(in[off + i]);
+    for (std::size_t s = 0; s < levels; ++s) {
+      load_history(s + 1, b);
+      const std::size_t m = halve(stages_, a, n, phase_[s], b + order);
+      save_history(s, a + n);
+      std::swap(a, b);
+      n = m;
+    }
+    const Lane* y = a + order;
+    if (diff_delay_ == 2) {
+      output_rate_stage(stages_, a, n, b);
+      save_history(levels, a + n);
+      y = b;
+    }
+    const std::size_t base = out.size();
+    out.resize(base + n);
+    for (std::size_t i = 0; i < n; ++i)
+      out[base + i] = static_cast<std::int32_t>(y[i] << wrap_shift) >> wrap_shift;
+  }
+}
+
+void NonRecursiveCic::process_block(std::span<const std::int64_t> in,
+                                    std::vector<std::int64_t>& out) {
+  run(in, out);
+}
+
+void NonRecursiveCic::process_block(std::span<const std::int32_t> in,
+                                    std::vector<std::int64_t>& out) {
+  run(in, out);
 }
 
 }  // namespace twiddc::dsp

@@ -30,6 +30,10 @@ class CicDecimator {
 
   explicit CicDecimator(const Config& config);
 
+  /// Validates `config` (ConfigError exactly where the constructor throws)
+  /// and returns the register width it resolves to.
+  static int checked_register_bits(const Config& config);
+
   /// Pushes one input sample; returns an output sample every `decimation`
   /// inputs (full register width, gain (R*M)^N / 2^sum(prune_shifts), not
   /// yet normalised -- callers shift by growth_bits() or divide by gain()).
@@ -47,13 +51,14 @@ class CicDecimator {
   /// Cross-channel packed kernel: advances FOUR independent decimators in
   /// lockstep, one AVX2 register holding the four lanes' integrator state per
   /// cascade stage.  The integrator cascade is a loop-carried dependency
-  /// chain, so it cannot vectorise along time within one lane -- across
-  /// lanes it packs perfectly.  Requires all four lanes to share geometry
-  /// (stages, decimation, diff_delay, register width, no pruning) and
-  /// decimation phase; returns false without touching any state when the
-  /// lanes are not packable, AVX2 is not compiled in, or the simd kill
-  /// switch is off -- callers then fall back to four process_block calls,
-  /// which are bit-exact with the packed path.
+  /// chain, so this recursive form vectorises only across lanes; an unpruned
+  /// power-of-two geometry on a register of at most 32 bits also vectorises
+  /// along time in NonRecursiveCic's form below.  Requires all four lanes to
+  /// share geometry (stages, decimation, diff_delay, register width, no
+  /// pruning) and decimation phase; returns false without touching any
+  /// state when the lanes are not packable, AVX2 is not compiled in, or the
+  /// simd kill switch is off -- callers then fall back to four process_block
+  /// calls, which are bit-exact with the packed path.
   static bool process_block_packed4(CicDecimator* const lanes[4],
                                     const std::int64_t* const in[4], std::size_t n,
                                     std::vector<std::int64_t>* const out[4]);
@@ -99,6 +104,56 @@ class CicDecimator {
   int decim_count_ = 0;
   std::uint64_t samples_in_ = 0;
   std::uint64_t samples_out_ = 0;
+};
+
+/// Hogenauer's non-recursive form of an unpruned CIC decimator whose
+/// decimation is a power of two, R = 2^k, and whose register fits 32 bits.
+/// Such a CIC is linear over the integers mod 2^B (B = register width), and
+/// its N-fold boxcar factors as B_2R(z) = B_R(z) * B_2(z^R).  So it runs as k
+/// sub-stages of (1 + z^-1)^N (binomial taps), each followed by decimation
+/// by 2, plus one output-rate (1 + z^-1)^N when M = 2.  Each sub-stage is a
+/// short FIR whose loop vectorises along time within one channel.
+///
+/// Arithmetic runs in wrapping uint32_t lanes.  Sums mod 2^32 reduce exactly
+/// to any B <= 32, so the last sub-stage's value, wrapped to B bits and
+/// sign-extended, is bit-exact with CicDecimator on the same config.  Every
+/// sub-stage emits on its odd inputs, counted from reset, so output m lands
+/// on input (m+1)R - 1, exactly where CicDecimator emits it.  Registers over
+/// 32 bits keep CicDecimator: 64-bit lanes have no measured win over its
+/// unrolled cascade.
+class NonRecursiveCic {
+ public:
+  /// True when `config` takes this form: no prune shifts (pruning shifts
+  /// between integrators, which breaks linearity), a power-of-two decimation
+  /// and a register of at most 32 bits.  Throws ConfigError where
+  /// CicDecimator would.
+  static bool accepts(const CicDecimator::Config& config);
+
+  /// Throws ConfigError where CicDecimator would, or when !accepts(config).
+  explicit NonRecursiveCic(const CicDecimator::Config& config);
+
+  /// Feeds every sample of `in`, appending produced outputs (full register
+  /// width, sign-extended, as CicDecimator::process_block) to `out`.
+  void process_block(std::span<const std::int64_t> in, std::vector<std::int64_t>& out);
+  /// Same, from a 32-bit input tile.
+  void process_block(std::span<const std::int32_t> in, std::vector<std::int64_t>& out);
+
+  void reset();
+
+  [[nodiscard]] int register_bits() const { return register_bits_; }
+
+ private:
+  template <typename In>
+  void run(std::span<const In> in, std::vector<std::int64_t>& out);
+
+  int stages_ = 1;
+  int levels_ = 0;  ///< k = log2(R)
+  int diff_delay_ = 1;
+  int register_bits_ = 0;
+  std::vector<int> phase_;  ///< per decimating sub-stage: inputs since its last output, mod 2
+  /// Each sub-stage's last N inputs (k decimating sub-stages, then the M = 2
+  /// stage).
+  std::vector<std::uint32_t> hist_;
 };
 
 }  // namespace twiddc::dsp

@@ -97,7 +97,6 @@ T FirFilter<T>::push(T x) {
 
 template <typename T>
 void FirFilter<T>::process_block(std::span<const T> in, std::vector<T>& out) {
-  out.reserve(out.size() + in.size());
   if constexpr (std::is_integral_v<T>) {
     // Contiguous-window hot path: every output is a forward dot product of
     // the reversed taps against a sliding window -- unit-stride loads the
@@ -166,7 +165,6 @@ std::optional<T> FirDecimator<T>::push(T x) {
 
 template <typename T>
 void FirDecimator<T>::process_block(std::span<const T> in, std::vector<T>& out) {
-  out.reserve(out.size() + in.size() / static_cast<std::size_t>(decimation_) + 1);
   const std::size_t n = history_.size();
   if constexpr (std::is_integral_v<T>) {
     // Same contiguous-window scheme as FirFilter, computing only the kept
@@ -274,7 +272,6 @@ std::optional<T> PolyphaseFirDecimator<T>::push(T x) {
 
 template <typename T>
 void PolyphaseFirDecimator<T>::process_block(std::span<const T> in, std::vector<T>& out) {
-  out.reserve(out.size() + in.size() / static_cast<std::size_t>(decimation_) + 1);
   if constexpr (std::is_integral_v<T>) {
     // The polyphase MAC set per output equals the direct form's, and integer
     // sums are order-independent, so each block output can be one contiguous

@@ -68,7 +68,6 @@ class MovingAverageCascade {
   /// -- so it is bit-exact with sample-by-sample use, but never materialises
   /// a per-sample std::optional and keeps the ring cursors in locals.
   void process_block(std::span<const T> in, std::vector<T>& out) {
-    out.reserve(out.size() + in.size() / static_cast<std::size_t>(decimation_) + 1);
     const std::size_t stages = rings_.size();
     int count = count_;
     for (T x : in) {

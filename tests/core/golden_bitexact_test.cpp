@@ -2,15 +2,18 @@
 // vectors in golden_fixed_ddc.inc were produced by the original hand-wired
 // FixedDdc/FloatDdc/Gc4016 before the stage-pipeline refactor.  The
 // pipeline-backed rebuild must reproduce them to the last bit, in both the
-// per-sample push() path and the block hot path.
+// per-sample push() path and the block hot path, and so must FusedChainExec,
+// the executor that serves native sessions, on the plans FixedDdc runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "src/asic/gc4016.hpp"
 #include "src/core/fixed_ddc.hpp"
 #include "src/core/float_ddc.hpp"
+#include "src/core/plan_compiler.hpp"
 #include "src/dsp/signal.hpp"
 #include "golden_fixed_ddc.inc"
 
@@ -51,6 +54,31 @@ TEST(GoldenBitExactTest, FixedWide16PushPath) {
 TEST(GoldenBitExactTest, FixedFpgaBlockPath) {
   FixedDdc ddc(DdcConfig::reference(10.0e6), DatapathSpec::fpga());
   expect_matches(ddc.process(golden_stimulus()), golden::kFixedFpga);
+}
+
+/// FusedChainExec on the plan FixedDdc builds for `spec`, fed in uneven
+/// blocks so tiles and block seams fall mid-frame.  Both paper datapaths
+/// take the int32 mixer and the non-recursive CIC2.
+std::vector<IqSample> fused_outputs(const DatapathSpec& spec) {
+  const FixedDdc ddc(DdcConfig::reference(10.0e6), spec);
+  FusedChainExec exec(CompiledPlanCache::instance().get_or_compile(ddc.pipeline().plan()));
+  EXPECT_TRUE(exec.compiled().int32_mixer());
+  EXPECT_TRUE(exec.compiled().non_recursive(0));
+  const auto in = golden_stimulus();
+  std::vector<IqSample> out;
+  for (std::size_t off = 0; off < in.size(); off += 5000)
+    exec.process_block(std::span(in).subspan(off, std::min<std::size_t>(5000, in.size() - off)),
+                       out);
+  return out;
+}
+
+TEST(GoldenBitExactTest, FusedChainExecWide16) {
+  expect_matches(fused_outputs(DatapathSpec::wide16()), golden::kFixedWide16);
+}
+
+TEST(GoldenBitExactTest, FusedChainExecFpga) {
+  // fpga's CIC2 register is 20 bits and its mixer product 23.
+  expect_matches(fused_outputs(DatapathSpec::fpga()), golden::kFixedFpga);
 }
 
 TEST(GoldenBitExactTest, FloatReference) {

@@ -221,6 +221,32 @@ TEST(CicProcess, BlockMatchesStreaming) {
   EXPECT_EQ(block, streamed);
 }
 
+// ------------------------------------------------- non-recursive form
+
+TEST(NonRecursiveCic, AcceptsUnprunedPowerOfTwoDecimationsOn32BitRegisters) {
+  EXPECT_TRUE(NonRecursiveCic::accepts(cfg(2, 16)));
+  EXPECT_TRUE(NonRecursiveCic::accepts(cfg(5, 1)));
+  EXPECT_FALSE(NonRecursiveCic::accepts(cfg(5, 21)));
+  auto pruned = cfg(2, 16);
+  pruned.prune_shifts = {1, 1};
+  EXPECT_FALSE(NonRecursiveCic::accepts(pruned));
+  EXPECT_THROW(NonRecursiveCic{cfg(5, 21)}, twiddc::ConfigError);
+  EXPECT_THROW(NonRecursiveCic{pruned}, twiddc::ConfigError);
+  EXPECT_THROW(NonRecursiveCic{cfg(9, 16)}, twiddc::ConfigError);  // as CicDecimator
+
+  EXPECT_THROW((void)NonRecursiveCic::accepts(cfg(9, 16)), twiddc::ConfigError);
+
+  // The register must fit the 32-bit lanes.
+  EXPECT_TRUE(NonRecursiveCic::accepts(cfg(2, 16, 24)));  // 32-bit automatic register
+  EXPECT_FALSE(NonRecursiveCic::accepts(cfg(2, 16, 25)));
+  auto wide = cfg(2, 16, 16);
+  wide.register_bits = 32;
+  EXPECT_TRUE(NonRecursiveCic::accepts(wide));
+  wide.register_bits = 33;
+  EXPECT_FALSE(NonRecursiveCic::accepts(wide));
+  EXPECT_THROW(NonRecursiveCic{wide}, twiddc::ConfigError);
+}
+
 // Frequency-domain property: a tone near an alias null is strongly
 // attenuated relative to a passband tone.
 TEST(CicFrequency, AliasNullRejection) {
