@@ -28,11 +28,6 @@
 //   "figure1:fused_vs_staged"   the plan compiler's fused tile executor vs
 //                               the staged pipeline, bit-exactness asserted
 //                               inline;
-//   "figure1:packed_fir"        cross-channel CIC-lane packing (the FIR
-//                               tail runs per lane; the name stays so
-//                               trajectories line up) vs monolithic
-//                               per-channel chains at 64 channels, one
-//                               line per kernel tier;
 //   "plan_cache"                compile-time amortisation: 64 sessions
 //                               sharing one config vs 64 distinct configs;
 //   "stream_engine:overload"    survivor p99 inter-chunk gap at 2x
@@ -412,7 +407,7 @@ void bench_channel_bank() {
   const auto input = figure1_stimulus(cfg, 2688 * 64);
 
   double single_rate = 0.0;
-  for (std::size_t channels : {1u, 2u, 4u, 8u}) {
+  for (std::size_t channels : {1u, 2u, 4u, 8u, 64u}) {
     std::vector<ChainPlan> plans;
     for (std::size_t c = 0; c < channels; ++c) {
       // Slightly detuned per-channel NCOs, GC4016-style multi-carrier use.
@@ -434,77 +429,6 @@ void bench_channel_bank() {
                                              "channel_bank:figure1", channels, t,
                                              single_rate, input.size())
             .field("simd", twiddc::simd::isa_name()));
-  }
-}
-
-// ------------------------------------------------------- packed CIC tiers
-
-// Cross-channel packing headline: 64 identical-geometry Figure-1 channels
-// (detuned NCOs, same CIC/FIR geometry, so the bank packs them 4 or 8 to a
-// register) on ONE worker, the packed CIC lanes (packed4/packed8; the NCO,
-// mixer and FIR tail run per lane) against the same bank with
-// set_packing(false) -- monolithic per-channel chains.  One line per
-// available kernel tier: the AVX-512 runtime cap is forced off for the
-// "avx2" line (on builds without AVX2 intrinsics that line degrades to the
-// scalar tier and the speedup sits near 1), and an "avx512" line is added
-// when the runtime tier is active on this host.  Packed-vs-monolithic
-// bit-exactness is asserted inline, same spirit as figure1:fused_vs_staged.
-// The CI bench gate reads the "avx2"-tier line and requires
-// speedup_packed_over_monolithic >= 1.2 at 64 channels.
-
-void bench_packed_fir() {
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  constexpr std::size_t kChannels = 64;
-  std::vector<ChainPlan> plans;
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    auto ch_cfg = cfg;
-    ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(c);
-    plans.push_back(ChainPlan::figure1(ch_cfg, spec));
-  }
-  const auto input = figure1_stimulus(cfg, 2688 * 16);
-
-  struct Tier {
-    const char* label;
-    bool avx512;
-  };
-  std::vector<Tier> tiers{{"avx2", false}};
-  if (twiddc::simd::avx512_active()) tiers.push_back({"avx512", true});
-
-  for (const Tier& tier : tiers) {
-    twiddc::simd::ScopedAvx512 cap(tier.avx512);
-    double rate[2] = {0.0, 0.0};
-    std::vector<std::vector<IqSample>> out[2];
-    for (const bool packed : {false, true}) {
-      ChannelBank bank(plans);
-      bank.set_packing(packed);
-      std::vector<std::vector<IqSample>> planar;
-      const std::size_t channel_samples = input.size() * kChannels;
-      const Throughput t = measure_throughput(channel_samples, [&] {
-        for (auto& p : planar) p.clear();
-        bank.process_block(input, planar);
-      });
-      rate[packed ? 1 : 0] = t.msamples_per_s();
-      // Fresh bank for the bit-exactness capture: the timed reps above left
-      // settled ring history behind.
-      ChannelBank check(plans);
-      check.set_packing(packed);
-      check.process_block(input, out[packed ? 1 : 0]);
-    }
-    JsonLine j;
-    j.field("bench", std::string("throughput_pipeline"))
-        .field("chain", std::string("figure1:packed_fir"))
-        .field("channels", kChannels)
-        .field("workers", std::size_t{1})
-        .field("tier", std::string(tier.label))
-        .field("monolithic_msamples_per_s", rate[0])
-        .field("packed_msamples_per_s", rate[1])
-        .field("speedup_packed_over_monolithic",
-               rate[0] > 0.0 ? rate[1] / rate[0] : 0.0)
-        .field("bit_exact", out[0] == out[1])
-        .field("block_samples", input.size())
-        .field("simd", twiddc::simd::active_path());
-    twiddc::benchutil::emit("figure1:packed_fir", j);
   }
 }
 
@@ -836,7 +760,6 @@ int main(int argc, char** argv) {
       {"figure1:wide16", [] { bench_figure1(DatapathSpec::wide16()); }},
       {"figure1:fpga", [] { bench_figure1(DatapathSpec::fpga()); }},
       {"figure1:fused_vs_staged", bench_fused_vs_staged},
-      {"figure1:packed_fir", bench_packed_fir},
       {"plan_cache", bench_plan_cache},
       {"gc4016:figure4", bench_gc4016},
       {"kernel:nco_mixer", bench_kernel_nco_mixer},

@@ -228,24 +228,24 @@ void Gc4016Channel::process_block(std::span<const std::int64_t> in,
 }
 
 namespace {
-std::vector<core::ChainPlan> figure4_plans(const Gc4016Config& config) {
+std::vector<core::DdcPipeline> figure4_pipelines(const Gc4016Config& config) {
   config.validate();
-  std::vector<core::ChainPlan> plans;
-  plans.reserve(config.channels.size());
+  std::vector<core::DdcPipeline> pipelines;
+  pipelines.reserve(config.channels.size());
   for (const auto& ch : config.channels)
-    plans.push_back(
+    pipelines.emplace_back(
         Gc4016Channel::figure4_plan(ch, config.input_rate_hz, config.input_bits));
-  return plans;
+  return pipelines;
 }
 }  // namespace
 
 Gc4016::Gc4016(const Gc4016Config& config)
-    : config_(config), bank_(figure4_plans(config)) {
-  for (std::size_t c = 0; c < config.channels.size(); ++c) {
-    channels_.push_back(Gc4016Channel(config.channels[c], &bank_.channel(c),
-                                      static_cast<int>(c)));
-    bank_.set_enabled(c, config.channels[c].enabled);
-  }
+    : config_(config),
+      pipelines_(figure4_pipelines(config)),
+      planar_(pipelines_.size()) {
+  for (std::size_t c = 0; c < config.channels.size(); ++c)
+    channels_.push_back(
+        Gc4016Channel(config.channels[c], &pipelines_[c], static_cast<int>(c)));
 }
 
 void Gc4016::process_block(std::span<const std::int64_t> in,
@@ -253,7 +253,7 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
   if (in.empty()) return;
   // All-or-nothing: reject the whole block before any channel advances.
   core::check_input_block(in, config_.input_bits, "Gc4016::process_block");
-  // Capture each enabled channel's input count before the batch pass so the
+  // Capture each enabled channel's input count before its block pass so the
   // planar outputs can be replayed in push()'s time order afterwards.
   struct Cursor {
     std::size_t channel;
@@ -264,7 +264,7 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
   std::vector<Cursor> cursors;
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     if (!config_.channels[c].enabled) continue;
-    auto& pipe = bank_.channel(c);
+    const core::DdcPipeline& pipe = pipelines_[c];
     const auto d = static_cast<std::uint64_t>(pipe.total_decimation());
     // The pre-block sample count is mid-revolution in general; the first
     // output of this block appears once the count reaches the next multiple
@@ -273,8 +273,10 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
     cursors.push_back(Cursor{c, (pre / d + 1) * d - pre, d});
   }
 
-  for (auto& p : planar_) p.clear();
-  bank_.process_block(in, planar_);
+  for (const auto& cur : cursors) {
+    planar_[cur.channel].clear();
+    pipelines_[cur.channel].process_block(in, planar_[cur.channel]);
+  }
 
   // Merge planar outputs back into the per-cycle order push() produces:
   // ascending output instant, channel index breaking ties; kAdd sums

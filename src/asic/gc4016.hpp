@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "src/core/channel_bank.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/energy/technology.hpp"
 
@@ -78,8 +77,8 @@ struct Gc4016Output {
 
 /// One channel's datapath.  Since the stage-pipeline refactor this is a thin
 /// shim: the Figure 4 topology (CIC5 -> CFIR -> PFIR) is expressed as a
-/// ChainPlan and the chip's shared core::ChannelBank owns the pipeline; the
-/// channel object only binds its configuration to the bank slot.
+/// ChainPlan and the chip owns the channel's core::DdcPipeline; the channel
+/// object only binds its configuration to that pipeline.
 class Gc4016Channel {
  public:
   std::optional<Gc4016Output> push(std::int64_t x);
@@ -101,7 +100,7 @@ class Gc4016Channel {
   }
   [[nodiscard]] double output_scale() const;
 
-  /// The Figure 4 topology as a ChainPlan (also what the bank is built of).
+  /// The Figure 4 topology as a ChainPlan (what the chip's pipelines run).
   static core::ChainPlan figure4_plan(const Gc4016ChannelConfig& config,
                                       double input_rate_hz, int input_bits);
 
@@ -111,14 +110,15 @@ class Gc4016Channel {
       : cfg_(config), pipeline_(pipeline), channel_index_(index) {}
 
   Gc4016ChannelConfig cfg_;
-  core::DdcPipeline* pipeline_ = nullptr;  // owned by the chip's ChannelBank
+  core::DdcPipeline* pipeline_ = nullptr;  // owned by the chip
   std::vector<core::IqSample> scratch_;
   int channel_index_ = 0;
   friend class Gc4016;
 };
 
-/// The quad chip.  The four channels are slots of one core::ChannelBank, so
-/// the chip-level block path is a shared-input batch pass.
+/// The quad chip.  It owns one core::DdcPipeline per channel, which both the
+/// per-sample push() and the block path advance, so the two paths share one
+/// state per channel and can be mixed on one stream.
 class Gc4016 {
  public:
   explicit Gc4016(const Gc4016Config& config);
@@ -135,20 +135,16 @@ class Gc4016 {
   /// its channel, kAdd sums simultaneous outputs into channel -1).
   std::vector<Gc4016Output> push(std::int64_t x);
 
-  /// Block hot path: runs the whole block through every enabled channel via
-  /// the ChannelBank, then merges the planar per-channel outputs back into
-  /// push()'s time order (and kAdd's summing of simultaneous outputs).
-  /// Bit-exact with a push() loop.
+  /// Block hot path: runs the whole block through every enabled channel's
+  /// pipeline, then merges the planar per-channel outputs back into push()'s
+  /// time order (and kAdd's summing of simultaneous outputs).  Bit-exact
+  /// with a push() loop.
   void process_block(std::span<const std::int64_t> in, std::vector<Gc4016Output>& out);
 
   void reset();
 
   [[nodiscard]] const Gc4016Config& config() const { return config_; }
   [[nodiscard]] int enabled_channels() const;
-  /// Read-only: channel enablement lives in the chip config (the bank's
-  /// enable flags mirror it and must not be toggled independently, or the
-  /// push and block paths would disagree about which channels run).
-  [[nodiscard]] const core::ChannelBank& bank() const { return bank_; }
   [[nodiscard]] Gc4016Channel& channel(int idx) { return channels_.at(static_cast<std::size_t>(idx)); }
 
   /// Power at the chip's native 0.25 um node for the configured clock:
@@ -162,7 +158,7 @@ class Gc4016 {
 
  private:
   Gc4016Config config_;
-  core::ChannelBank bank_;
+  std::vector<core::DdcPipeline> pipelines_;  // one per configured channel
   std::vector<Gc4016Channel> channels_;
   std::vector<std::vector<core::IqSample>> planar_;  // process_block scratch
 };

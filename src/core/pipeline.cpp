@@ -359,9 +359,26 @@ void ChainPlan::validate() const {
   if (stages.empty())
     throw ConfigError("ChainPlan '" + name + "': needs at least one stage");
   for (const auto& s : stages) s.validate();
-  if (front_end.nco_freq_hz < 0.0 || front_end.nco_freq_hz >= input_rate_hz / 2.0)
+  const FrontEndSpec& fe = front_end;
+  if (fe.nco_freq_hz < 0.0 || fe.nco_freq_hz >= input_rate_hz / 2.0)
     throw ConfigError("ChainPlan '" + name +
                       "': NCO frequency out of [0, input_rate/2)");
+  // The widths the int64 datapath can hold: range checks and narrowing shift
+  // by the width, and the mixer's x * cos product must fit 63 bits.
+  if (fe.input_bits < 1)
+    throw ConfigError("ChainPlan '" + name + "': input_bits must be >= 1, got " +
+                      std::to_string(fe.input_bits));
+  if (fe.mixer_out_bits < 1)
+    throw ConfigError("ChainPlan '" + name + "': mixer_out_bits must be >= 1, got " +
+                      std::to_string(fe.mixer_out_bits));
+  if (fe.nco_amplitude_bits < 2 || fe.nco_amplitude_bits > 24)
+    throw ConfigError("ChainPlan '" + name +
+                      "': nco_amplitude_bits must be in [2,24], got " +
+                      std::to_string(fe.nco_amplitude_bits));
+  if (fe.input_bits + fe.nco_amplitude_bits - 1 > 63)
+    throw ConfigError("ChainPlan '" + name + "': a " + std::to_string(fe.input_bits) +
+                      "-bit input times a " + std::to_string(fe.nco_amplitude_bits) +
+                      "-bit NCO does not fit the 63-bit mixer product");
 }
 
 ChainPlan ChainPlan::figure1(const DdcConfig& config, const DatapathSpec& spec) {
@@ -543,24 +560,6 @@ void StageChain<T>::process_block(std::span<const T> in, std::vector<T>& out) {
   }
   std::span<const T> cur = in;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    std::vector<T>& buf = i % 2 == 0 ? scratch_a_ : scratch_b_;
-    buf.clear();
-    stages_[i]->process_block(cur, buf);
-    if (taps_[i]) taps_[i]->insert(taps_[i]->end(), buf.begin(), buf.end());
-    cur = buf;
-  }
-  out.insert(out.end(), cur.begin(), cur.end());
-}
-
-template <typename T>
-void StageChain<T>::process_block_from(std::size_t first, std::span<const T> in,
-                                       std::vector<T>& out) {
-  if (first >= stages_.size()) {
-    out.insert(out.end(), in.begin(), in.end());
-    return;
-  }
-  std::span<const T> cur = in;
-  for (std::size_t i = first; i < stages_.size(); ++i) {
     std::vector<T>& buf = i % 2 == 0 ? scratch_a_ : scratch_b_;
     buf.clear();
     stages_[i]->process_block(cur, buf);

@@ -188,12 +188,9 @@ class Stage {
   [[nodiscard]] virtual int decimation() const = 0;
   [[nodiscard]] virtual const std::string& label() const = 0;
 
-  /// Packed-execution hook: the stage's CIC kernel when (and only when) the
-  /// stage is a fixed-point CIC decimator, else nullptr.  ChannelBank uses
-  /// it to run 4 (AVX2) or 8 (AVX-512) channels' integrator cascades per
-  /// register, and perfbench's stage probe reads its config; mutating
-  /// the kernel through this pointer is equivalent to feeding the stage the
-  /// same samples minus the stage's output conditioning.
+  /// The stage's CIC kernel when (and only when) the stage is a fixed-point
+  /// CIC decimator, else nullptr.  perfbench's stage probe reads its config
+  /// to time the kernel on its own.
   [[nodiscard]] virtual dsp::CicDecimator* cic_kernel() { return nullptr; }
 };
 
@@ -225,18 +222,6 @@ class StageChain {
   /// Registers (or clears, with nullptr) the observation tap of stage `i`.
   void set_tap(std::size_t i, std::vector<T>* sink) { taps_.at(i) = sink; }
   void clear_taps();
-  [[nodiscard]] bool has_taps() const {
-    for (const auto* t : taps_)
-      if (t) return true;
-    return false;
-  }
-
-  /// Packed-execution hook: process_block starting at stage `first` -- the
-  /// caller has already run stages [0, first) itself (e.g. the cross-channel
-  /// packed CIC).  Taps of the skipped stages are NOT fed; callers must
-  /// check has_taps() before splitting a chain.
-  void process_block_from(std::size_t first, std::span<const T> in,
-                          std::vector<T>& out);
 
   /// True when every stage can splice to the matching spec (same count,
   /// structurally compatible stage by stage).
@@ -315,19 +300,11 @@ class DdcPipeline {
   /// Observation tap for the in-phase mixer output (nullptr disables).
   void set_mixer_tap(std::vector<std::int64_t>* sink) { mixer_tap_ = sink; }
 
-  // Packed-execution hooks (core::ChannelBank cross-channel kernels).  A
-  // packed caller drives the front end itself -- nco().next_block + the
-  // shared mixer -- runs stage 0 through the stages' cic_kernel()s, and
-  // finishes each rail with rail(r).process_block_from(1, ...).  It must
-  // then call note_packed_block so the sample counters stay equivalent to a
-  // process_block call.
+  /// The front end's parts, for stage-by-stage probes that drive them
+  /// directly (perfbench's per-layer timing).  Advancing the NCO through
+  /// this reference moves the pipeline's phase without counting samples.
   [[nodiscard]] dsp::Nco& nco() { return nco_; }
   [[nodiscard]] const dsp::ComplexMixer& mixer() const { return mixer_; }
-  [[nodiscard]] bool has_mixer_tap() const { return mixer_tap_ != nullptr; }
-  void note_packed_block(std::uint64_t in, std::uint64_t out) {
-    samples_in_ += in;
-    samples_out_ += out;
-  }
 
  private:
   ChainPlan plan_;

@@ -112,9 +112,7 @@ std::string canonical_plan_key(const ChainPlan& plan);
 
 /// Structural form: the canonical key minus everything a SwapMode::kSplice
 /// may change (NCO frequency, coefficient values, output conditioning).
-/// Two plans with equal structural keys are splice-compatible, and channels
-/// with equal structural front ends are candidates for cross-channel packed
-/// execution.
+/// Two plans with equal structural keys are splice-compatible.
 std::string structural_plan_key(const ChainPlan& plan);
 
 // ------------------------------------------------------------- CompiledPlan

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/common/error.hpp"
-#include "src/common/simd.hpp"
 #include "src/fixed/qformat.hpp"
 
 namespace twiddc::dsp {
@@ -179,201 +178,6 @@ std::vector<std::int64_t> CicDecimator::process(const std::vector<std::int64_t>&
   out.reserve(in.size() / static_cast<std::size_t>(config_.decimation) + 1);
   process_block(in, out);
   return out;
-}
-
-bool CicDecimator::process_block_packed4(CicDecimator* const lanes[4],
-                                         const std::int64_t* const in[4],
-                                         std::size_t n,
-                                         std::vector<std::int64_t>* const out[4]) {
-#if defined(__AVX2__)
-  const CicDecimator& l0 = *lanes[0];
-  if (!l0.config_.prune_shifts.empty()) return false;
-  for (int l = 1; l < 4; ++l) {
-    const CicDecimator& ll = *lanes[l];
-    if (ll.config_.stages != l0.config_.stages ||
-        ll.config_.decimation != l0.config_.decimation ||
-        ll.config_.diff_delay != l0.config_.diff_delay ||
-        ll.register_bits_ != l0.register_bits_ ||
-        !ll.config_.prune_shifts.empty() || ll.decim_count_ != l0.decim_count_)
-      return false;
-  }
-  if (!simd::enabled() || n == 0) return simd::enabled();
-
-  const int stages = l0.config_.stages;
-  const int decimation = l0.config_.decimation;
-  const int diff_delay = l0.config_.diff_delay;
-  const int wrap_shift = 64 - l0.register_bits_;  // register_bits_ <= 63
-  // Same unwrapped-accumulator trick as run_block: adds commute with
-  // truncation to the low register_bits_, so the four lanes' state rides in
-  // one register per stage and the wrap happens only on read/store.
-  __m256i acc[8];
-  for (int s = 0; s < stages; ++s)
-    acc[s] = _mm256_set_epi64x(
-        lanes[3]->integrators_[static_cast<std::size_t>(s)],
-        lanes[2]->integrators_[static_cast<std::size_t>(s)],
-        lanes[1]->integrators_[static_cast<std::size_t>(s)],
-        lanes[0]->integrators_[static_cast<std::size_t>(s)]);
-  int count = l0.decim_count_;
-
-  for (std::size_t t = 0; t < n; ++t) {
-    const __m256i x = _mm256_set_epi64x(in[3][t], in[2][t], in[1][t], in[0][t]);
-    acc[0] = _mm256_add_epi64(acc[0], x);
-    for (int s = 1; s < stages; ++s) acc[s] = _mm256_add_epi64(acc[s], acc[s - 1]);
-    if (++count < decimation) continue;
-    count = 0;
-    // Decimation boundary: wrap the cascade output once for all four lanes,
-    // then run the (1/R-rate) comb chains scalar per lane.
-    alignas(32) std::int64_t v4[4];
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(v4),
-        simd::detail::sra_epi64(_mm256_slli_epi64(acc[stages - 1], wrap_shift),
-                                wrap_shift));
-    for (int l = 0; l < 4; ++l) {
-      CicDecimator& lane = *lanes[l];
-      std::int64_t v = v4[l];
-      for (int s = 0; s < stages; ++s) {
-        const std::size_t base = static_cast<std::size_t>(s * diff_delay);
-        const std::int64_t delayed =
-            lane.comb_delays_[base + static_cast<std::size_t>(diff_delay - 1)];
-        for (int d = diff_delay - 1; d > 0; --d)
-          lane.comb_delays_[base + static_cast<std::size_t>(d)] =
-              lane.comb_delays_[base + static_cast<std::size_t>(d - 1)];
-        lane.comb_delays_[base] = v;
-        v = fixed::wrap_sub(v, delayed, lane.register_bits_);
-      }
-      ++lane.samples_out_;
-      out[l]->push_back(v);
-    }
-  }
-
-  for (int s = 0; s < stages; ++s) {
-    alignas(32) std::int64_t a4[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(a4), acc[s]);
-    for (int l = 0; l < 4; ++l)
-      lanes[l]->integrators_[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(a4[l]) << wrap_shift) >>
-          wrap_shift;
-  }
-  for (int l = 0; l < 4; ++l) {
-    lanes[l]->decim_count_ = count;
-    lanes[l]->samples_in_ += n;
-  }
-  return true;
-#else
-  (void)lanes;
-  (void)in;
-  (void)n;
-  (void)out;
-  return false;
-#endif
-}
-
-#if defined(TWIDDC_HAVE_AVX512_KERNELS)
-namespace {
-
-/// The __m512i body of packed8, operating on raw views of the lanes' state
-/// (collected by the member below, which owns the private access).  Only
-/// runs after the caller verified simd::avx512_active().
-TWIDDC_AVX512_TARGET void cic_packed8_kernel(
-    std::int64_t* const integ[8], std::int64_t* const combs[8],
-    std::uint64_t* const samples_out[8], const std::int64_t* const in[8],
-    std::size_t n, std::vector<std::int64_t>* const out[8], int stages,
-    int decimation, int diff_delay, int register_bits, int& count) {
-  const int wrap_shift = 64 - register_bits;
-  const __m128i vwrap = _mm_cvtsi32_si128(wrap_shift);
-  // Same unwrapped-accumulator trick as run_block / packed4: adds commute
-  // with truncation to the low register_bits, so the eight lanes' state
-  // rides in one register per stage and the wrap happens only on read/store.
-  __m512i acc[8];
-  for (int s = 0; s < stages; ++s)
-    acc[s] = _mm512_set_epi64(integ[7][s], integ[6][s], integ[5][s], integ[4][s],
-                              integ[3][s], integ[2][s], integ[1][s], integ[0][s]);
-
-  for (std::size_t t = 0; t < n; ++t) {
-    const __m512i x =
-        _mm512_set_epi64(in[7][t], in[6][t], in[5][t], in[4][t], in[3][t],
-                         in[2][t], in[1][t], in[0][t]);
-    acc[0] = _mm512_add_epi64(acc[0], x);
-    for (int s = 1; s < stages; ++s) acc[s] = _mm512_add_epi64(acc[s], acc[s - 1]);
-    if (++count < decimation) continue;
-    count = 0;
-    // Decimation boundary: wrap the cascade output once for all eight lanes,
-    // then run the (1/R-rate) comb chains scalar per lane.
-    alignas(64) std::int64_t v8[8];
-    _mm512_store_si512(
-        v8, _mm512_sra_epi64(_mm512_sll_epi64(acc[stages - 1], vwrap), vwrap));
-    for (int l = 0; l < 8; ++l) {
-      std::int64_t v = v8[l];
-      for (int s = 0; s < stages; ++s) {
-        const std::size_t base = static_cast<std::size_t>(s * diff_delay);
-        const std::int64_t delayed =
-            combs[l][base + static_cast<std::size_t>(diff_delay - 1)];
-        for (int d = diff_delay - 1; d > 0; --d)
-          combs[l][base + static_cast<std::size_t>(d)] =
-              combs[l][base + static_cast<std::size_t>(d - 1)];
-        combs[l][base] = v;
-        v = twiddc::fixed::wrap_sub(v, delayed, register_bits);
-      }
-      ++*samples_out[l];
-      out[l]->push_back(v);
-    }
-  }
-
-  for (int s = 0; s < stages; ++s) {
-    alignas(64) std::int64_t a8[8];
-    _mm512_store_si512(a8, acc[s]);
-    for (int l = 0; l < 8; ++l)
-      integ[l][s] = static_cast<std::int64_t>(static_cast<std::uint64_t>(a8[l])
-                                              << wrap_shift) >>
-                    wrap_shift;
-  }
-}
-
-}  // namespace
-#endif  // TWIDDC_HAVE_AVX512_KERNELS
-
-bool CicDecimator::process_block_packed8(CicDecimator* const lanes[8],
-                                         const std::int64_t* const in[8],
-                                         std::size_t n,
-                                         std::vector<std::int64_t>* const out[8]) {
-#if defined(TWIDDC_HAVE_AVX512_KERNELS)
-  const CicDecimator& l0 = *lanes[0];
-  if (!l0.config_.prune_shifts.empty()) return false;
-  for (int l = 1; l < 8; ++l) {
-    const CicDecimator& ll = *lanes[l];
-    if (ll.config_.stages != l0.config_.stages ||
-        ll.config_.decimation != l0.config_.decimation ||
-        ll.config_.diff_delay != l0.config_.diff_delay ||
-        ll.register_bits_ != l0.register_bits_ ||
-        !ll.config_.prune_shifts.empty() || ll.decim_count_ != l0.decim_count_)
-      return false;
-  }
-  if (!simd::avx512_active() || n == 0) return simd::avx512_active();
-
-  std::int64_t* integ[8];
-  std::int64_t* combs[8];
-  std::uint64_t* souts[8];
-  for (int l = 0; l < 8; ++l) {
-    integ[l] = lanes[l]->integrators_.data();
-    combs[l] = lanes[l]->comb_delays_.data();
-    souts[l] = &lanes[l]->samples_out_;
-  }
-  int count = l0.decim_count_;
-  cic_packed8_kernel(integ, combs, souts, in, n, out, l0.config_.stages,
-                     l0.config_.decimation, l0.config_.diff_delay,
-                     l0.register_bits_, count);
-  for (int l = 0; l < 8; ++l) {
-    lanes[l]->decim_count_ = count;
-    lanes[l]->samples_in_ += n;
-  }
-  return true;
-#else
-  (void)lanes;
-  (void)in;
-  (void)n;
-  (void)out;
-  return false;
-#endif
 }
 
 // ------------------------------------------------------------ NonRecursiveCic

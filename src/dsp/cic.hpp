@@ -48,31 +48,6 @@ class CicDecimator {
   /// Block helper: feeds all of `in`, appends produced outputs to a vector.
   std::vector<std::int64_t> process(const std::vector<std::int64_t>& in);
 
-  /// Cross-channel packed kernel: advances FOUR independent decimators in
-  /// lockstep, one AVX2 register holding the four lanes' integrator state per
-  /// cascade stage.  The integrator cascade is a loop-carried dependency
-  /// chain, so this recursive form vectorises only across lanes; an unpruned
-  /// power-of-two geometry on a register of at most 32 bits also vectorises
-  /// along time in NonRecursiveCic's form below.  Requires all four lanes to
-  /// share geometry (stages, decimation, diff_delay, register width, no
-  /// pruning) and decimation phase; returns false without touching any
-  /// state when the lanes are not packable, AVX2 is not compiled in, or the
-  /// simd kill switch is off -- callers then fall back to four process_block
-  /// calls, which are bit-exact with the packed path.
-  static bool process_block_packed4(CicDecimator* const lanes[4],
-                                    const std::int64_t* const in[4], std::size_t n,
-                                    std::vector<std::int64_t>* const out[4]);
-
-  /// AVX-512 tier of the cross-channel kernel: EIGHT lanes' integrator state
-  /// per 512-bit register.  Same packing contract and bit-exactness as
-  /// process_block_packed4; additionally declines (returns false, no state
-  /// touched) when the runtime AVX-512 tier is unavailable -- kernels not
-  /// compiled in, CPU without F+DQ+BW+VL, or simd::set_avx512_enabled(false)
-  /// -- so callers fall back to packed4 pairs or per-lane blocks.
-  static bool process_block_packed8(CicDecimator* const lanes[8],
-                                    const std::int64_t* const in[8], std::size_t n,
-                                    std::vector<std::int64_t>* const out[8]);
-
   void reset();
 
   /// DC gain (R*M)^N before any pruning shifts.

@@ -242,13 +242,12 @@ Gc4016Config four_channels(Gc4016Config::Combine combine) {
 TEST(Gc4016, BlockPathMatchesPushPathAcrossChannels) {
   // Two chips.  With mixed CIC decimations the block-path merge has to
   // interleave output instants exactly like push() does.  With one shared
-  // decimation the four channels form a packed quad on AVX2 and AVX-512
-  // builds: their CIC5 cascades run as lanes and the direct-form CFIR/PFIR
-  // tails run per lane.
-  auto packed = four_channels(Gc4016Config::Combine::kMultiplex);
-  for (auto& ch : packed.channels) ch.cic_decimation = 16;
+  // decimation every channel emits on the same instants, so the merge
+  // collects four outputs per instant (and kAdd sums all four).
+  auto one_decimation = four_channels(Gc4016Config::Combine::kMultiplex);
+  for (auto& ch : one_decimation.channels) ch.cic_decimation = 16;
   for (Gc4016Config cfg :
-       {four_channels(Gc4016Config::Combine::kMultiplex), packed}) {
+       {four_channels(Gc4016Config::Combine::kMultiplex), one_decimation}) {
     SCOPED_TRACE(cfg.channels[0].cic_decimation == cfg.channels[1].cic_decimation
                      ? "one decimation"
                      : "mixed decimations");
@@ -256,7 +255,8 @@ TEST(Gc4016, BlockPathMatchesPushPathAcrossChannels) {
          {Gc4016Config::Combine::kMultiplex, Gc4016Config::Combine::kAdd}) {
       SCOPED_TRACE(combine == Gc4016Config::Combine::kAdd ? "add" : "multiplex");
       cfg.combine = combine;
-      // The second block spans two of the bank's 8192-sample cache tiles.
+      // The second block is 11000 samples: many CIC decimations, and many
+      // merge instants, in one pass per channel.
       const auto input = four_channel_stimulus(cfg, 12000);
 
       Gc4016 by_push(cfg);
@@ -279,6 +279,39 @@ TEST(Gc4016, BlockPathMatchesPushPathAcrossChannels) {
         ASSERT_EQ(got[k].i, want[k].i) << "k=" << k;
         ASSERT_EQ(got[k].q, want[k].q) << "k=" << k;
       }
+    }
+  }
+}
+
+TEST(Gc4016, PushThenBlockContinuesOneStream) {
+  // push() and process_block() advance the same per-channel state, so a
+  // stream may switch from one to the other mid-way: the first 1000 samples
+  // through push(), the rest through process_block(), must equal a push-only
+  // chip.  1000 is not a multiple of any channel's total decimation, so the
+  // switch falls mid-revolution.
+  for (auto combine : {Gc4016Config::Combine::kMultiplex, Gc4016Config::Combine::kAdd}) {
+    SCOPED_TRACE(combine == Gc4016Config::Combine::kAdd ? "add" : "multiplex");
+    const Gc4016Config cfg = four_channels(combine);
+    const auto input = four_channel_stimulus(cfg, 6000);
+    const std::size_t cut = 1000;
+
+    Gc4016 by_push(cfg);
+    std::vector<Gc4016Output> want;
+    for (std::int64_t x : input)
+      for (const auto& o : by_push.push(x)) want.push_back(o);
+
+    Gc4016 mixed(cfg);
+    std::vector<Gc4016Output> got;
+    for (std::size_t k = 0; k < cut; ++k)
+      for (const auto& o : mixed.push(input[k])) got.push_back(o);
+    mixed.process_block(
+        std::span<const std::int64_t>(input.data() + cut, input.size() - cut), got);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k].channel, want[k].channel) << "k=" << k;
+      ASSERT_EQ(got[k].i, want[k].i) << "k=" << k;
+      ASSERT_EQ(got[k].q, want[k].q) << "k=" << k;
     }
   }
 }

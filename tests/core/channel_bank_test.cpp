@@ -1,6 +1,6 @@
 // ChannelBank: N batched channels must equal N independent single-channel
-// runs, disabled channels must freeze, and a rejected block must advance
-// nothing.
+// DdcPipeline runs, disabled channels must freeze, and a rejected block must
+// advance nothing.
 #include "src/core/channel_bank.hpp"
 
 #include <gtest/gtest.h>
@@ -91,10 +91,9 @@ TEST(ChannelBank, DisabledChannelFreezes) {
   EXPECT_TRUE(got[1].empty());
   EXPECT_FALSE(got[0].empty());
   EXPECT_FALSE(got[2].empty());
-  EXPECT_EQ(bank.channel(1).samples_in(), 0u);
 
-  // Re-enabling resumes from the frozen state (a fresh run over the next
-  // block, not a replay of the missed one).
+  // Re-enabling resumes from the frozen state: the next block equals a fresh
+  // run over it, not a continuation past the missed one.
   bank.set_enabled(1, true);
   std::vector<std::vector<IqSample>> next;
   bank.process_block(input, next);
@@ -118,7 +117,7 @@ TEST(ChannelBank, ResetRestoresFreshState) {
     expect_equal(second[c], first[c], c);
 }
 
-// Channels whose plans decimate at very different rates: the per-tile work
+// Channels whose plans decimate at very different rates: the work per block
 // is uneven across channels, but batching must stay bit-exact with solo
 // runs.
 TEST(ChannelBank, SkewedDecimationsStayBitExact) {
@@ -177,7 +176,18 @@ TEST(ChannelBank, AllChannelsDisabledIsANoOp) {
   bank.process_block(stimulus(2688), got);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& ch : got) EXPECT_TRUE(ch.empty());
-  EXPECT_EQ(bank.channel(0).samples_in(), 0u);
+
+  // Nothing advanced: a re-enabled channel starts from its fresh state.
+  bank.set_enabled(0, true);
+  const auto input = stimulus(2688 * 2);
+  std::vector<std::vector<IqSample>> next;
+  bank.process_block(input, next);
+  DdcPipeline solo(plans[0]);
+  std::vector<IqSample> want;
+  solo.process_block(input, want);
+  expect_equal(next[0], want, 0);
+  EXPECT_TRUE(next[1].empty());
+  EXPECT_TRUE(next[2].empty());
 }
 
 TEST(ChannelBank, EmptyInputProducesNoOutput) {
@@ -189,13 +199,11 @@ TEST(ChannelBank, EmptyInputProducesNoOutput) {
   EXPECT_TRUE(got[1].empty());
 }
 
-// --------------------------------------------------- cross-channel packing
+// ------------------------------------------------------------ wider banks
 //
-// Eight identical-geometry figure-1 channels form two packed quads; the
-// earlier BatchEqualsIndependentRuns test already runs through the packed
-// path (4 detuned channels), so these focus on the packing-specific seams:
-// remainder lanes, the kill switch, partial blocks, fallback triggers, and
-// the sample counters.
+// Larger populations of detuned Figure 1 channels, ragged block seams, the
+// simd kill switch flipped mid-stream and full-scale drive, each against
+// solo DdcPipeline runs over the same input.
 
 void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
                               const std::vector<std::int64_t>& input) {
@@ -208,65 +216,18 @@ void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
     std::vector<IqSample> want;
     solo.process_block(input, want);
     expect_equal(got[c], want, c);
-    EXPECT_EQ(bank.channel(c).samples_in(), solo.samples_in()) << "channel " << c;
-    EXPECT_EQ(bank.channel(c).samples_out(), solo.samples_out()) << "channel " << c;
   }
 }
 
-TEST(ChannelBank, PackedQuadsWithRemainderLanesMatchSolo) {
-  // 9 channels: two full quads + one leftover single lane.  Uneven block
-  // size exercises the packed tile loop's partial final tile.
+TEST(ChannelBank, NineChannelsMatchSolo) {
+  // The uneven block size leaves each executor a partial final tile.
   expect_bank_matches_solo(detuned_plans(9), stimulus(2688 * 4 + 1337));
 }
 
-TEST(ChannelBank, PackedKillSwitchFallsBackBitExact) {
-  // With simd disabled process_block_packed4 declines and every lane runs
-  // the scalar per-channel path -- outputs and counters must not change.
-  simd::ScopedEnable guard(false);
-  expect_bank_matches_solo(detuned_plans(8), stimulus(2688 * 3 + 17));
-}
-
-TEST(ChannelBank, MixedGeometriesGroupSeparately) {
-  // Two CIC geometries (4 + 3 channels) plus skew: group keys must keep
-  // them apart (one quad, and 3 singles or a partial group), still exact.
-  const auto spec = DatapathSpec::wide16();
-  std::vector<ChainPlan> plans = detuned_plans(4);
-  auto alt = DdcConfig::reference(10.0e6);
-  alt.cic2_decimation = 8;
-  alt.fir_decimation = 4;
-  for (int c = 0; c < 3; ++c) {
-    auto ch = alt;
-    ch.nco_freq_hz += 55.0e3 * c;
-    plans.push_back(ChainPlan::figure1(ch, spec));
-  }
-  expect_bank_matches_solo(plans, stimulus(2688 * 4));
-}
-
-TEST(ChannelBank, ObservationTapsForceTheUnpackedPath) {
-  // A mid-chain tap needs the full per-channel stage walk; the tapped
-  // channel must fall out of the quad but still produce identical output.
-  const auto plans = detuned_plans(5);
-  const auto input = stimulus(2688 * 3);
-
-  ChannelBank bank(plans);
-  std::vector<std::int64_t> tapped;
-  bank.channel(2).rail(0).set_tap(0, &tapped);
-  std::vector<std::vector<IqSample>> got;
-  bank.process_block(input, got);
-  EXPECT_FALSE(tapped.empty());  // the tap really fired
-
-  for (std::size_t c = 0; c < plans.size(); ++c) {
-    DdcPipeline solo(plans[c]);
-    std::vector<IqSample> want;
-    solo.process_block(input, want);
-    expect_equal(got[c], want, c);
-  }
-}
-
-TEST(ChannelBank, PackedStreamingSeamsCarryState) {
-  // Feed the same data as one block and as three ragged blocks through
-  // packed banks: CIC phase (samples_in % decimation) differs mid-stream,
-  // so regrouping must key on it and stay exact.
+TEST(ChannelBank, StreamingSeamsCarryState) {
+  // Feed the same data as one block and as three ragged blocks: every seam
+  // falls mid-way through a CIC decimation, so each channel's filter state
+  // and decimation phase must carry across it.
   const auto plans = detuned_plans(8);
   const auto input = stimulus(2688 * 4 + 100);
 
@@ -285,18 +246,18 @@ TEST(ChannelBank, PackedStreamingSeamsCarryState) {
 }
 
 TEST(ChannelBank, OutOfRangeInputPastTheFirstTileAdvancesNothing) {
-  // Five channels: a packed quad plus a single.  The bad sample sits in the
-  // third 8192-sample tile, so a check made tile by tile would throw only
-  // after every channel had run the first two tiles.
-  const auto plans = detuned_plans(5);
-  const auto clean = stimulus(2688 * 8);  // 21504 samples: three tiles
+  // Five channels, the first with a 16-bit front end and the rest 12-bit.
+  // The bad sample fits the first channel but no other, and sits far past
+  // each executor's first tile: a check made channel by channel would throw
+  // only after the first channel had run the whole block.
+  auto plans = detuned_plans(5);
+  plans[0].front_end.input_bits = 16;
+  const auto clean = stimulus(2688 * 8);  // 21504 samples
   auto input = clean;
-  input[20000] = std::int64_t{1} << 30;  // beyond the 12-bit front end
+  input[20000] = std::int64_t{1} << 13;  // fits 16 bits, not 12
   ChannelBank bank(plans);
   std::vector<std::vector<IqSample>> got;
   EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
-  for (std::size_t c = 0; c < plans.size(); ++c)
-    EXPECT_EQ(bank.channel(c).samples_in(), 0u) << "channel " << c;
   for (const auto& ch : got) EXPECT_TRUE(ch.empty());
 
   // Nothing advanced, so the bank still matches fresh solo pipelines.
@@ -310,83 +271,18 @@ TEST(ChannelBank, OutOfRangeInputPastTheFirstTileAdvancesNothing) {
   }
 }
 
-TEST(ChannelBank, PackedRejectsOutOfRangeInputPerLane) {
-  const auto plans = detuned_plans(4);
-  auto input = stimulus(512);
-  input[128] = std::int64_t{1} << 30;  // beyond the 12-bit front end
-  ChannelBank bank(plans);
-  std::vector<std::vector<IqSample>> got;
-  EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
-}
-
-// ------------------------------------------------------------ octet units
-//
-// On an active AVX-512 tier the bank forms 8-channel octets instead of
-// quads.  These tests pin the unit seams: octet remainder lanes, the
-// AVX-512 runtime cap, the set_packing knob, mid-stream kill-switch flips,
-// and full-scale per-lane values (the widest intermediates a packed unit's
-// per-lane FIR tail must carry through its narrow_ok fallback).
-
-TEST(ChannelBank, PackedOctetsWithRemainderLanesMatchSolo) {
-  // 11 channels: one octet + 3 singles on an active AVX-512 tier, two quads
-  // + 3 singles otherwise.  Either grouping must stay solo-exact; the
-  // uneven block size exercises the packed tile loop's partial final tile.
+TEST(ChannelBank, ElevenChannelsMatchSolo) {
   expect_bank_matches_solo(detuned_plans(11), stimulus(2688 * 3 + 1337));
 }
 
-TEST(ChannelBank, PackedOctetRemainderQuadMatchesSolo) {
-  // 13 channels: octet + quad + single under AVX-512, three quads + single
-  // under AVX2 -- every unit size in one bank.
+TEST(ChannelBank, ThirteenChannelsMatchSolo) {
   expect_bank_matches_solo(detuned_plans(13), stimulus(2688 * 3 + 19));
 }
 
-TEST(ChannelBank, PackedAvx512CapToggleStaysBitExact) {
-  // The same population with the AVX-512 runtime cap forced off (quads
-  // only) and left at the host default (octets where the tier is live) must
-  // agree bit for bit.  On hosts without AVX-512 both runs take the quad
-  // path and the test degenerates to a self-comparison.
-  const auto plans = detuned_plans(9);
-  const auto input = stimulus(2688 * 3 + 41);
-  std::vector<std::vector<IqSample>> want;
-  {
-    simd::ScopedAvx512 cap(false);
-    ChannelBank bank(plans);
-    bank.process_block(input, want);
-  }
-  std::vector<std::vector<IqSample>> got;
-  {
-    ChannelBank bank(plans);
-    bank.process_block(input, got);
-  }
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-}
-
-TEST(ChannelBank, SetPackingOffMatchesPackedBitExact) {
-  // The packing knob is the bench's monolithic baseline: disabling it must
-  // change the execution strategy only, never a single output bit.
-  const auto plans = detuned_plans(8);
-  const auto input = stimulus(2688 * 2 + 77);
-
-  ChannelBank mono(plans);
-  mono.set_packing(false);
-  EXPECT_FALSE(mono.packing());
-  std::vector<std::vector<IqSample>> want;
-  mono.process_block(input, want);
-
-  ChannelBank packed(plans);
-  EXPECT_TRUE(packed.packing());
-  std::vector<std::vector<IqSample>> got;
-  packed.process_block(input, got);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-}
-
-TEST(ChannelBank, PackedKillSwitchMidStreamStaysBitExact) {
-  // Flip the kill switch off and back on across block seams: units regroup
-  // per block, per-lane state (CIC integrators, FIR rings, NCO phase) must
-  // carry across the strategy changes.
+TEST(ChannelBank, KillSwitchMidStreamStaysBitExact) {
+  // Flip the kill switch off and back on across block seams: each channel's
+  // state (CIC kernels, FIR delay lines, NCO phase) must carry across the
+  // change between intrinsic and scalar kernels.
   const auto plans = detuned_plans(9);
   const auto input = stimulus(2688 * 3 + 100);
 
@@ -409,9 +305,9 @@ TEST(ChannelBank, PackedKillSwitchMidStreamStaysBitExact) {
   }
 }
 
-TEST(ChannelBank, PackedFullScaleInputStaysBitExact) {
+TEST(ChannelBank, FullScaleInputStaysBitExact) {
   // Near-full-scale 12-bit drive produces the widest intermediates in the
-  // FIR tail: whether a lane takes the narrow-multiply or the exact wide
+  // FIR tail: whether a dot takes the narrow-multiply or the exact wide
   // path, outputs must equal the per-channel reference.
   const auto cfg = DdcConfig::reference(10.0e6);
   const auto input = dsp::quantize_signal(

@@ -15,6 +15,7 @@
 #include "src/core/fixed_ddc.hpp"
 #include "src/core/float_ddc.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/plan_compiler.hpp"
 #include "src/dsp/signal.hpp"
 #include "src/dsp/spectrum.hpp"
 #include "src/fixed/qformat.hpp"
@@ -224,6 +225,52 @@ TEST(ChainPlanTest, ValidationNamesTheOffendingStage) {
   plan.name = "empty";
   plan.input_rate_hz = 1e6;
   EXPECT_THROW(plan.validate(), ConfigError);  // no stages
+}
+
+TEST(ChainPlanTest, RejectsFrontEndWidthsTheDatapathCannotHold) {
+  // Every entry point that takes a plan refuses a front end the int64
+  // datapath cannot hold, instead of reaching an undefined shift (a 70-bit
+  // range check, a 0-bit narrow) or an int64 mixer product that overflows.
+  const ChainPlan good =
+      ChainPlan::figure1(DdcConfig::reference(10.0e6), DatapathSpec::wide16());
+  struct Case {
+    const char* what;
+    void (*edit)(FrontEndSpec&);
+  };
+  const Case bad[] = {
+      {"input_bits 0", [](FrontEndSpec& fe) { fe.input_bits = 0; }},
+      {"input_bits 64", [](FrontEndSpec& fe) { fe.input_bits = 64; }},
+      {"input_bits 70", [](FrontEndSpec& fe) { fe.input_bits = 70; }},
+      {"60-bit input, 16-bit NCO", [](FrontEndSpec& fe) { fe.input_bits = 60; }},
+      {"mixer_out_bits 0", [](FrontEndSpec& fe) { fe.mixer_out_bits = 0; }},
+      {"LUT NCO, 1 bit", [](FrontEndSpec& fe) { fe.nco_amplitude_bits = 1; }},
+      {"LUT NCO, 25 bits", [](FrontEndSpec& fe) { fe.nco_amplitude_bits = 25; }},
+      {"Taylor NCO, 1 bit",
+       [](FrontEndSpec& fe) {
+         fe.nco_mode = dsp::Nco::Mode::kTaylor;
+         fe.nco_amplitude_bits = 1;
+       }},
+      {"Taylor NCO, 40 bits",
+       [](FrontEndSpec& fe) {
+         fe.nco_mode = dsp::Nco::Mode::kTaylor;
+         fe.nco_amplitude_bits = 40;
+       }},
+  };
+  for (const Case& c : bad) {
+    SCOPED_TRACE(c.what);
+    ChainPlan plan = good;
+    c.edit(plan.front_end);
+    EXPECT_THROW(plan.validate(), ConfigError);
+    EXPECT_THROW(CompiledPlanCache::instance().get_or_compile(plan), ConfigError);
+    EXPECT_THROW(DdcPipeline{plan}, ConfigError);
+  }
+
+  // A 48-bit input times a 16-bit NCO is a 63-bit product: the widest that fits.
+  ChainPlan widest = good;
+  widest.front_end.input_bits = 48;
+  EXPECT_NO_THROW(widest.validate());
+  EXPECT_NO_THROW(CompiledPlanCache::instance().get_or_compile(widest));
+  EXPECT_NO_THROW(DdcPipeline{widest});
 }
 
 TEST(ChainPlanTest, CustomTopologyRuns) {

@@ -1,12 +1,16 @@
 // SIMD-vs-scalar bit-exactness over randomized topologies.
 //
 // Every block kernel behind src/common/simd.hpp must produce int64 outputs
-// identical to (a) the per-sample push() path and (b) the scalar fallback
-// (simd::set_enabled(false)) on the same build, over randomized CIC orders
-// and decimations, FIR lengths including remainder tails, and odd block
-// sizes in 1..257 that exercise every vector-remainder combination.  On a
-// build without an intrinsic path (no -march), (b) degenerates to comparing
-// identical code -- the CI x86-64-v3 job is what exercises the AVX2 side.
+// identical to (a) the per-sample push() path and (b) every other kernel
+// tier in the same binary -- AVX-512, AVX2 under the AVX-512 cap
+// (simd::ScopedAvx512(false)) and the scalar fallback
+// (simd::set_enabled(false)) -- over randomized CIC orders and decimations,
+// FIR lengths including remainder tails, and odd block sizes in 1..257 that
+// exercise every vector-remainder combination.  A tier the build or host
+// lacks runs the next tier down, so on a build without an intrinsic path
+// (no -march) the comparison degenerates to identical code; the CI
+// x86-64-v3 job exercises the AVX2 side and the avx512 job, on a runner
+// with the ISA, all three.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,6 +43,25 @@ void feed_odd_blocks(Rng& rng, const std::vector<std::int64_t>& in, Fn&& fn) {
     pos += len;
   }
 }
+
+/// One kernel tier, selected by the kill switch and the AVX-512 cap.
+struct Tier {
+  bool simd;
+  bool avx512;
+  const char* name;
+};
+constexpr Tier kTiers[] = {
+    {true, true, "avx512"}, {true, false, "avx2"}, {false, false, "scalar"}};
+
+/// Forces `tier` within a scope.
+class ScopedTier {
+ public:
+  explicit ScopedTier(const Tier& tier) : simd_(tier.simd), avx512_(tier.avx512) {}
+
+ private:
+  simd::ScopedEnable simd_;
+  simd::ScopedAvx512 avx512_;
+};
 
 std::vector<std::int64_t> random_signal(Rng& rng, std::size_t n, int bits) {
   std::vector<std::int64_t> v(n);
@@ -98,15 +121,15 @@ TEST(SimdBitExact, FirDecimatorRandomShapes) {
         if (auto y = by_push.push(x)) want.push_back(*y);
       }
 
-      for (bool simd_on : {true, false}) {
-        simd::ScopedEnable guard(simd_on);
+      for (const Tier& tier : kTiers) {
+        ScopedTier guard(tier);
         dsp::FirDecimator<std::int64_t> by_block(taps, decim);
         std::vector<std::int64_t> got;
         feed_odd_blocks(rng, input, [&](std::span<const std::int64_t> chunk) {
           by_block.process_block(chunk, got);
         });
         ASSERT_EQ(got, want) << "taps=" << taps_n << " D=" << decim
-                             << " simd=" << simd_on;
+                             << " tier=" << tier.name;
       }
     }
   }
@@ -126,15 +149,15 @@ TEST(SimdBitExact, PolyphaseRandomShapes) {
         if (auto y = by_push.push(x)) want.push_back(*y);
       }
 
-      for (bool simd_on : {true, false}) {
-        simd::ScopedEnable guard(simd_on);
+      for (const Tier& tier : kTiers) {
+        ScopedTier guard(tier);
         dsp::PolyphaseFirDecimator<std::int64_t> by_block(taps, decim);
         std::vector<std::int64_t> got;
         feed_odd_blocks(rng, input, [&](std::span<const std::int64_t> chunk) {
           by_block.process_block(chunk, got);
         });
         ASSERT_EQ(got, want) << "taps=" << taps_n << " D=" << decim
-                             << " simd=" << simd_on;
+                             << " tier=" << tier.name;
       }
     }
   }
@@ -198,8 +221,8 @@ TEST(SimdBitExact, FirWideTapsUseExactWidePath) {
 
 TEST(SimdBitExact, NcoBlockMatchesPerSample) {
   for (int table_bits : {4, 10, 12}) {
-    for (bool simd_on : {true, false}) {
-      simd::ScopedEnable guard(simd_on);
+    for (const Tier& tier : kTiers) {
+      ScopedTier guard(tier);
       dsp::Nco::Config nc;
       nc.freq_hz = 1.234567e6;
       nc.sample_rate_hz = 10.0e6;
@@ -212,8 +235,10 @@ TEST(SimdBitExact, NcoBlockMatchesPerSample) {
       by_block.next_block(cos_v, sin_v);
       for (std::size_t k = 0; k < n; ++k) {
         const dsp::SinCos sc = by_next.next();
-        ASSERT_EQ(cos_v[k], sc.cos) << "k=" << k << " tb=" << table_bits;
-        ASSERT_EQ(sin_v[k], sc.sin) << "k=" << k << " tb=" << table_bits;
+        ASSERT_EQ(cos_v[k], sc.cos) << "k=" << k << " tb=" << table_bits
+                                    << " tier=" << tier.name;
+        ASSERT_EQ(sin_v[k], sc.sin) << "k=" << k << " tb=" << table_bits
+                                    << " tier=" << tier.name;
       }
     }
   }
@@ -239,15 +264,15 @@ TEST(SimdBitExact, MixerBlockMatchesPerSample) {
       sin_v[k] = static_cast<std::int32_t>(rng.uniform_int(-amp, amp));
     }
 
-    for (bool simd_on : {true, false}) {
-      simd::ScopedEnable guard(simd_on);
+    for (const Tier& tier : kTiers) {
+      ScopedTier guard(tier);
       std::vector<std::int64_t> out_i(n);
       std::vector<std::int64_t> out_q(n);
       mixer.mix_block(x, cos_v, sin_v, out_i, out_q);
       for (std::size_t k = 0; k < n; ++k) {
         const dsp::Iq want = mixer.mix(x[k], cos_v[k], sin_v[k]);
-        ASSERT_EQ(out_i[k], want.i) << "k=" << k << " simd=" << simd_on;
-        ASSERT_EQ(out_q[k], want.q) << "k=" << k << " simd=" << simd_on;
+        ASSERT_EQ(out_i[k], want.i) << "k=" << k << " tier=" << tier.name;
+        ASSERT_EQ(out_q[k], want.q) << "k=" << k << " tier=" << tier.name;
       }
     }
   }
@@ -268,17 +293,17 @@ TEST(SimdBitExact, Figure1ChainSimdVsScalarVsPush) {
   }
 
   Rng rng(0x9f1);
-  for (bool simd_on : {true, false}) {
-    simd::ScopedEnable guard(simd_on);
+  for (const Tier& tier : kTiers) {
+    ScopedTier guard(tier);
     DdcPipeline by_block(plan);
     std::vector<IqSample> got;
     feed_odd_blocks(rng, input, [&](std::span<const std::int64_t> chunk) {
       by_block.process_block(chunk, got);
     });
-    ASSERT_EQ(got.size(), want.size()) << "simd=" << simd_on;
+    ASSERT_EQ(got.size(), want.size()) << "tier=" << tier.name;
     for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_EQ(got[k].i, want[k].i) << "k=" << k << " simd=" << simd_on;
-      ASSERT_EQ(got[k].q, want[k].q) << "k=" << k << " simd=" << simd_on;
+      ASSERT_EQ(got[k].i, want[k].i) << "k=" << k << " tier=" << tier.name;
+      ASSERT_EQ(got[k].q, want[k].q) << "k=" << k << " tier=" << tier.name;
     }
   }
 }
