@@ -6,9 +6,9 @@
 // Hogenauer's non-recursive form that the fused executor runs, whose plain
 // loops the compiler vectorises), and multi-channel ChannelBank batch
 // scaling -- emitted as machine-readable JSON lines so successive PRs can
-// track the performance trajectory.  The "simd" field records the build's
-// compiled ISA path; for the cic2/cic5 lines it identifies the build, not an
-// intrinsic kernel.
+// track the performance trajectory.  The "simd" field records the kernel
+// tier the library dispatched to (simd::active_path()); the recursive CIC
+// cascade runs the same code on every tier.
 //
 // Output format (one JSON object per line, prefixed section aside):
 //   {"bench": "throughput_pipeline", "chain": "figure1:wide16",
@@ -111,7 +111,7 @@ void bench_figure1(const DatapathSpec& spec) {
       twiddc::benchutil::throughput_json("throughput_pipeline",
                                          "figure1:" + spec.name, push, block,
                                          input.size())
-          .field("simd", twiddc::simd::isa_name()));
+          .field("simd", twiddc::simd::active_path()));
 }
 
 // -------------------------------------------------- fused vs staged chain
@@ -167,7 +167,7 @@ void bench_fused_vs_staged() {
                  : 0.0)
       .field("bit_exact", bit_exact)
       .field("block_samples", input.size())
-      .field("simd", twiddc::simd::isa_name());
+      .field("simd", twiddc::simd::active_path());
   twiddc::benchutil::emit("figure1:fused_vs_staged", j);
 }
 
@@ -229,7 +229,7 @@ void bench_plan_cache() {
       .field("hit_rate_shared",
              static_cast<double>(after_shared.hits - before_shared.hits) /
                  static_cast<double>(kSessions))
-      .field("simd", twiddc::simd::isa_name());
+      .field("simd", twiddc::simd::active_path());
   twiddc::benchutil::emit("plan_cache", j);
 }
 
@@ -259,7 +259,7 @@ void bench_gc4016() {
       "gc4016:figure4",
       twiddc::benchutil::throughput_json("throughput_pipeline", "gc4016:figure4",
                                          push, block, input.size())
-          .field("simd", twiddc::simd::isa_name()));
+          .field("simd", twiddc::simd::active_path()));
 }
 
 // ------------------------------------------------------------- kernel rates
@@ -268,7 +268,7 @@ void kernel_line(const std::string& kernel, const Throughput& t, std::size_t n) 
   twiddc::benchutil::emit(
       "kernel:" + kernel,
       twiddc::benchutil::kernel_json("throughput_pipeline", kernel, t, n)
-          .field("simd", twiddc::simd::isa_name()));
+          .field("simd", twiddc::simd::active_path()));
 }
 
 void bench_kernel_nco_mixer() {
@@ -306,7 +306,7 @@ void bench_kernel_cic(const std::string& name, int stages, int decimation) {
   });
   JsonLine line = twiddc::benchutil::kernel_json("throughput_pipeline", name, t,
                                                  input.size())
-                      .field("simd", twiddc::simd::isa_name());
+                      .field("simd", twiddc::simd::active_path());
   if (twiddc::dsp::NonRecursiveCic::accepts(cc)) {
     // The same stage in the fused executor's non-recursive form, on the same
     // input; bit_exact diffs one block from reset state against the
@@ -392,7 +392,7 @@ void bench_backends() {
         .field("plan", plan.name)
         .field("block_msamples_per_s", t.msamples_per_s())
         .field("block_samples", input.size())
-        .field("simd", twiddc::simd::isa_name());
+        .field("simd", twiddc::simd::active_path());
     twiddc::benchutil::emit("backend:" + backend->name(), j);
   }
 }
@@ -428,7 +428,7 @@ void bench_channel_bank() {
         twiddc::benchutil::channel_bank_json("throughput_pipeline",
                                              "channel_bank:figure1", channels, t,
                                              single_rate, input.size())
-            .field("simd", twiddc::simd::isa_name()));
+            .field("simd", twiddc::simd::active_path()));
   }
 }
 
@@ -485,7 +485,7 @@ void bench_stream_sessions() {
         .field("aggregate_msamples_per_s", aggregate)
         .field("scaling_vs_single", single_rate > 0.0 ? aggregate / single_rate : 0.0)
         .field("chunks", chunks.front().size())
-        .field("simd", twiddc::simd::isa_name());
+        .field("simd", twiddc::simd::active_path());
     twiddc::benchutil::emit("stream_engine:figure1", j);
   }
 }
@@ -648,7 +648,7 @@ void bench_stream_overload() {
                              : 0.0)
         .field("shed_events", static_cast<std::size_t>(engine.shed_events()))
         .field("shed_blocks", static_cast<std::size_t>(engine.shed_blocks()))
-        .field("simd", twiddc::simd::isa_name());
+        .field("simd", twiddc::simd::active_path());
     twiddc::benchutil::emit("stream_engine:overload", j);
   }
 }
@@ -722,7 +722,7 @@ void bench_stream_trace_overhead() {
       .field("traced_events", traced_events)
       .field("traced_drops", static_cast<std::size_t>(traced_drops))
       .field("trace_compiled", TWIDDC_TRACE_COMPILED_MASK != 0u)
-      .field("simd", twiddc::simd::isa_name());
+      .field("simd", twiddc::simd::active_path());
   twiddc::benchutil::emit("stream_engine:trace", j);
 }
 

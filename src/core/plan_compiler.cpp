@@ -104,7 +104,8 @@ dsp::CicDecimator::Config cic_config(const StageSpec& st) {
 /// when the product fits 31 bits (CompiledPlan::int32_mixer()): then so do
 /// the product plus its rounding offset and both saturation bounds.
 /// `bits` == 0 leaves the shifted product unnarrowed, as
-/// simd::mul_shift_narrow_block does.
+/// simd::mul_shift_narrow_block does.  The loop runs in the active kernel
+/// tier.
 void mix_rail_i32(const std::int64_t* x, const std::int32_t* m, std::size_t n,
                   int shift, int bits, fixed::Rounding rounding, std::int32_t* out) {
   const std::int32_t round = rounding == fixed::Rounding::kNearest && shift > 0
@@ -112,10 +113,12 @@ void mix_rail_i32(const std::int64_t* x, const std::int32_t* m, std::size_t n,
                                  : 0;
   const auto hi = static_cast<std::int32_t>(bits == 0 ? INT32_MAX : fixed::max_for_bits(bits));
   const auto lo = static_cast<std::int32_t>(bits == 0 ? INT32_MIN : fixed::min_for_bits(bits));
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::int32_t v = (static_cast<std::int32_t>(x[k]) * m[k] + round) >> shift;
-    out[k] = std::min(std::max(v, lo), hi);
-  }
+  simd::run_tiered([&]() TWIDDC_ALWAYS_INLINE {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::int32_t v = (static_cast<std::int32_t>(x[k]) * m[k] + round) >> shift;
+      out[k] = std::min(std::max(v, lo), hi);
+    }
+  });
 }
 
 }  // namespace

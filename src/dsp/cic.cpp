@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/simd.hpp"
 #include "src/fixed/qformat.hpp"
 
 namespace twiddc::dsp {
@@ -210,11 +211,15 @@ constexpr std::array<Lane, N + 1> binomial_taps() {
   return c;
 }
 
+// The loops below are always inlined into NonRecursiveCic::run's tiered
+// body, so each kernel tier compiles them for its own registers.
+
 /// One decimating sub-stage.  `w` holds the sub-stage's last N inputs, then
 /// `n` new ones.  An input emits (1 + z^-1)^N when the inputs since the last
 /// output, `phase` included, reach two.  Returns the output count.
 template <int N>
-std::size_t halve_stage(const Lane* w, std::size_t n, int& phase, Lane* out) {
+TWIDDC_ALWAYS_INLINE inline std::size_t halve_stage(const Lane* w, std::size_t n,
+                                                    int& phase, Lane* out) {
   constexpr std::array<Lane, N + 1> c = binomial_taps<N>();
   const std::size_t first = phase == 0 ? 1 : 0;
   const std::size_t m = n > first ? (n - first + 1) / 2 : 0;
@@ -231,7 +236,8 @@ std::size_t halve_stage(const Lane* w, std::size_t n, int& phase, Lane* out) {
 
 /// The output-rate (1 + z^-1)^N stage of M = 2, over the same window layout.
 template <int N>
-void output_rate_stage(const Lane* w, std::size_t n, Lane* out) {
+TWIDDC_ALWAYS_INLINE inline void output_rate_stage(const Lane* w, std::size_t n,
+                                                  Lane* out) {
   constexpr std::array<Lane, N + 1> c = binomial_taps<N>();
   for (std::size_t i = 0; i < n; ++i) {
     const Lane* p = w + N + i;
@@ -241,7 +247,8 @@ void output_rate_stage(const Lane* w, std::size_t n, Lane* out) {
   }
 }
 
-std::size_t halve(int stages, const Lane* w, std::size_t n, int& phase, Lane* out) {
+TWIDDC_ALWAYS_INLINE inline std::size_t halve(int stages, const Lane* w, std::size_t n,
+                                              int& phase, Lane* out) {
   switch (stages) {
     case 1: return halve_stage<1>(w, n, phase, out);
     case 2: return halve_stage<2>(w, n, phase, out);
@@ -254,7 +261,8 @@ std::size_t halve(int stages, const Lane* w, std::size_t n, int& phase, Lane* ou
   }
 }
 
-void output_rate_stage(int stages, const Lane* w, std::size_t n, Lane* out) {
+TWIDDC_ALWAYS_INLINE inline void output_rate_stage(int stages, const Lane* w,
+                                                  std::size_t n, Lane* out) {
   switch (stages) {
     case 1: return output_rate_stage<1>(w, n, out);
     case 2: return output_rate_stage<2>(w, n, out);
@@ -311,30 +319,35 @@ void NonRecursiveCic::run(std::span<const In> in, std::vector<std::int64_t>& out
     std::copy_n(w, order, hist_.begin() + static_cast<std::ptrdiff_t>(stage * order));
   };
   const auto levels = static_cast<std::size_t>(levels_);
-  for (std::size_t off = 0; off < in.size(); off += kNonRecursiveChunk) {
-    std::size_t n = std::min(kNonRecursiveChunk, in.size() - off);
-    Lane* a = wa.data();
-    Lane* b = wb.data();
-    load_history(0, a);
-    for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(in[off + i]);
-    for (std::size_t s = 0; s < levels; ++s) {
-      load_history(s + 1, b);
-      const std::size_t m = halve(stages_, a, n, phase_[s], b + order);
-      save_history(s, a + n);
-      std::swap(a, b);
-      n = m;
+  // One tier for the whole block: the lane load, every sub-stage and the
+  // sign-extending store compile once per tier.
+  simd::run_tiered([&]() TWIDDC_ALWAYS_INLINE {
+    for (std::size_t off = 0; off < in.size(); off += kNonRecursiveChunk) {
+      std::size_t n = std::min(kNonRecursiveChunk, in.size() - off);
+      Lane* a = wa.data();
+      Lane* b = wb.data();
+      load_history(0, a);
+      for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(in[off + i]);
+      for (std::size_t s = 0; s < levels; ++s) {
+        load_history(s + 1, b);
+        const std::size_t m = halve(stages_, a, n, phase_[s], b + order);
+        save_history(s, a + n);
+        std::swap(a, b);
+        n = m;
+      }
+      const Lane* y = a + order;
+      if (diff_delay_ == 2) {
+        output_rate_stage(stages_, a, n, b);
+        save_history(levels, a + n);
+        y = b;
+      }
+      const std::size_t base = out.size();
+      out.resize(base + n);
+      std::int64_t* dst = out.data() + base;
+      for (std::size_t i = 0; i < n; ++i)
+        dst[i] = static_cast<std::int32_t>(y[i] << wrap_shift) >> wrap_shift;
     }
-    const Lane* y = a + order;
-    if (diff_delay_ == 2) {
-      output_rate_stage(stages_, a, n, b);
-      save_history(levels, a + n);
-      y = b;
-    }
-    const std::size_t base = out.size();
-    out.resize(base + n);
-    for (std::size_t i = 0; i < n; ++i)
-      out[base + i] = static_cast<std::int32_t>(y[i] << wrap_shift) >> wrap_shift;
-  }
+  });
 }
 
 void NonRecursiveCic::process_block(std::span<const std::int64_t> in,

@@ -2,10 +2,10 @@
 // recursive oracle (dsp::CicDecimator::push), the fused executor that serves
 // it against the staged DdcPipeline, and the form CompiledPlan picks.
 //
-// The CicFormSweep cases draw their geometries from gtest's random seed.  It
-// is 0 in a plain run, so ctest stays deterministic; under --gtest_shuffle
-// every repeat draws new geometries and prints its seed, which reproduces a
-// failure through --gtest_random_seed.
+// The CicFormSweep cases draw their geometries, and the kernel tier each
+// runs in, from gtest's random seed.  It is 0 in a plain run, so ctest stays
+// deterministic; under --gtest_shuffle every repeat draws new geometries and
+// prints its seed, which reproduces a failure through --gtest_random_seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/simd.hpp"
 #include "src/core/datapath_spec.hpp"
 #include "src/core/ddc_config.hpp"
 #include "src/core/pipeline.hpp"
@@ -25,6 +24,7 @@
 #include "src/dsp/fir_design.hpp"
 #include "src/dsp/signal.hpp"
 #include "src/fixed/qformat.hpp"
+#include "tests/core/simd_tiers.hpp"
 
 namespace twiddc::core {
 namespace {
@@ -70,6 +70,11 @@ dsp::CicDecimator::Config random_cic(Rng& rng) {
   return c;
 }
 
+/// One of the three kernel tiers.
+const test::Tier& random_tier(Rng& rng) {
+  return test::kTiers[rng.uniform_int(0, 2)];
+}
+
 /// Block lengths that are mostly not multiples of R or of the fused tile.
 std::size_t ragged(Rng& rng, int total_decimation) {
   return static_cast<std::size_t>(rng.uniform_int(0, 3 * total_decimation + 1500));
@@ -113,6 +118,10 @@ TEST(CicFormSweep, KernelMatchesCicDecimatorPush) {
                                           ragged(rng, c.decimation), rng);
       for (std::int64_t x : in)
         if (auto y = oracle.push(x)) want.push_back(*y);
+      // Each block may run in another tier: the state carries across tiers.
+      const test::Tier& tier = random_tier(rng);
+      SCOPED_TRACE(std::string("tier ") + tier.name);
+      test::ScopedTier guard(tier);
       if (rng.uniform_int(0, 1) == 0) {
         kernel.process_block(in, got);
       } else {
@@ -207,14 +216,14 @@ TEST(CicFormSweep, FusedMatchesStagedPipeline) {
   int recursive = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const ChainPlan plan = random_cic_plan(rng, trial);
-    const bool simd_on = rng.uniform_int(0, 1) == 0;
-    simd::ScopedEnable guard(simd_on);
+    const test::Tier& tier = random_tier(rng);
+    test::ScopedTier guard(tier);
     const auto compiled = cache.get_or_compile(plan);
     const bool form0 = compiled->non_recursive(0);
     mixer_i32 += compiled->int32_mixer();
     non_recursive_i64 += form0 && !compiled->int32_mixer();
     recursive += !form0;
-    SCOPED_TRACE(plan.name + " simd=" + std::to_string(simd_on) + " stage0 " +
+    SCOPED_TRACE(plan.name + " tier " + tier.name + " stage0 " +
                  (form0 ? "non-recursive" : "recursive") + " mixer " +
                  (compiled->int32_mixer() ? "int32" : "int64"));
 

@@ -14,7 +14,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/simd.hpp"
 #include "src/core/datapath_spec.hpp"
 #include "src/core/ddc_config.hpp"
 #include "src/core/pipeline.hpp"
@@ -22,6 +21,7 @@
 #include "src/dsp/fir_design.hpp"
 #include "src/dsp/signal.hpp"
 #include "src/fixed/qformat.hpp"
+#include "tests/core/simd_tiers.hpp"
 
 namespace twiddc::core {
 namespace {
@@ -264,8 +264,8 @@ TEST(PlanCompilerCache, ConcurrentGetOrCompileSharesOneArtifact) {
 // ------------------------------------------------------------ fused exec
 
 void expect_fused_matches_staged(const ChainPlan& plan, std::uint64_t seed,
-                                 bool simd_on) {
-  simd::ScopedEnable guard(simd_on);
+                                 const test::Tier& tier) {
+  test::ScopedTier guard(tier);
   DdcPipeline staged(plan);
   FusedChainExec fused(CompiledPlanCache::instance().get_or_compile(plan));
 
@@ -280,21 +280,21 @@ void expect_fused_matches_staged(const ChainPlan& plan, std::uint64_t seed,
   staged.process_block(block_b, want);
   fused.process_block(block_a, got);
   fused.process_block(block_b, got);
-  ASSERT_EQ(want.size(), got.size()) << plan.name << " simd=" << simd_on;
+  ASSERT_EQ(want.size(), got.size()) << plan.name << " tier=" << tier.name;
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i]) << plan.name << " sample " << i
-                               << " simd=" << simd_on;
+                               << " tier=" << tier.name;
   }
 }
 
 TEST(FusedChainExec, Figure1BitExactWithStagedPipeline) {
-  expect_fused_matches_staged(reference_plan(), 11, true);
+  expect_fused_matches_staged(reference_plan(), 11, test::kTiers[0]);
 }
 
 TEST(FusedChainExec, KillSwitchForcesScalarAndStaysBitExact) {
-  // simd::set_enabled(false) must route the fused kernels onto the scalar
-  // path too; outputs stay identical to the (also scalar) staged pipeline.
-  expect_fused_matches_staged(reference_plan(), 12, false);
+  // simd::set_enabled(false) must route the fused kernels onto the baseline
+  // tier too; outputs stay identical to the (also baseline) staged pipeline.
+  expect_fused_matches_staged(reference_plan(), 12, test::kTiers[2]);
 }
 
 TEST(FusedChainExec, RandomizedTopologiesBitExactBothSimdStates) {
@@ -302,7 +302,7 @@ TEST(FusedChainExec, RandomizedTopologiesBitExactBothSimdStates) {
   for (int trial = 0; trial < 12; ++trial) {
     const ChainPlan plan = random_arbitrary_plan(rng, trial);
     expect_fused_matches_staged(plan, 100 + static_cast<std::uint64_t>(trial),
-                                trial % 2 == 0);
+                                test::kTiers[trial % 3]);
   }
 }
 

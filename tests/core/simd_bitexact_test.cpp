@@ -1,19 +1,20 @@
-// SIMD-vs-scalar bit-exactness over randomized topologies.
+// SIMD-vs-scalar bit-exactness over randomized topologies, and the tier
+// dispatch itself.
 //
 // Every block kernel behind src/common/simd.hpp must produce int64 outputs
 // identical to (a) the per-sample push() path and (b) every other kernel
 // tier in the same binary -- AVX-512, AVX2 under the AVX-512 cap
-// (simd::ScopedAvx512(false)) and the scalar fallback
-// (simd::set_enabled(false)) -- over randomized CIC orders and decimations,
-// FIR lengths including remainder tails, and odd block sizes in 1..257 that
-// exercise every vector-remainder combination.  A tier the build or host
-// lacks runs the next tier down, so on a build without an intrinsic path
-// (no -march) the comparison degenerates to identical code; the CI
-// x86-64-v3 job exercises the AVX2 side and the avx512 job, on a runner
-// with the ISA, all three.
+// (simd::ScopedAvx512(false)) and the baseline (simd::set_enabled(false))
+// -- over randomized CIC orders and decimations, FIR lengths including
+// remainder tails, and odd block sizes in 1..257 that exercise every
+// vector-remainder combination.  Every x86-64 build carries all three
+// tiers, whatever its -march; a tier the host lacks runs the next tier
+// down, so an AVX2-only host diffs two tiers and a host without AVX2 one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -27,9 +28,14 @@
 #include "src/dsp/mixer.hpp"
 #include "src/dsp/nco.hpp"
 #include "src/dsp/signal.hpp"
+#include "tests/core/simd_tiers.hpp"
 
 namespace twiddc::core {
 namespace {
+
+using test::kTiers;
+using test::ScopedTier;
+using test::Tier;
 
 /// Splits [0, total) into pseudo-random chunk lengths in [1, 257], feeding
 /// each chunk to `fn(span)` -- exercises partial-tail state carry.
@@ -43,25 +49,6 @@ void feed_odd_blocks(Rng& rng, const std::vector<std::int64_t>& in, Fn&& fn) {
     pos += len;
   }
 }
-
-/// One kernel tier, selected by the kill switch and the AVX-512 cap.
-struct Tier {
-  bool simd;
-  bool avx512;
-  const char* name;
-};
-constexpr Tier kTiers[] = {
-    {true, true, "avx512"}, {true, false, "avx2"}, {false, false, "scalar"}};
-
-/// Forces `tier` within a scope.
-class ScopedTier {
- public:
-  explicit ScopedTier(const Tier& tier) : simd_(tier.simd), avx512_(tier.avx512) {}
-
- private:
-  simd::ScopedEnable simd_;
-  simd::ScopedAvx512 avx512_;
-};
 
 std::vector<std::int64_t> random_signal(Rng& rng, std::size_t n, int bits) {
   std::vector<std::int64_t> v(n);
@@ -92,15 +79,15 @@ TEST(SimdBitExact, CicRandomTopologies) {
       if (auto y = by_push.push(x)) want.push_back(*y);
     }
 
-    for (bool simd_on : {true, false}) {
-      simd::ScopedEnable guard(simd_on);
+    for (const Tier& tier : kTiers) {
+      ScopedTier guard(tier);
       dsp::CicDecimator by_block(cfg);
       std::vector<std::int64_t> got;
       feed_odd_blocks(rng, input, [&](std::span<const std::int64_t> chunk) {
         by_block.process_block(chunk, got);
       });
       ASSERT_EQ(got, want) << "trial " << trial << " N=" << cfg.stages
-                           << " R=" << cfg.decimation << " simd=" << simd_on;
+                           << " R=" << cfg.decimation << " tier=" << tier.name;
     }
   }
 }
@@ -276,6 +263,81 @@ TEST(SimdBitExact, MixerBlockMatchesPerSample) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------- range scans
+
+TEST(SimdBitExact, RangeScansMatchScalar) {
+  // minmax_i64 is every backend's input range check and all_fit_i32 picks
+  // the FIR's multiply; both are vectorised per tier.  Each extreme sits at
+  // the first element, the last, and the first lane of the 4- and 8-lane
+  // tails, against a background that fits int32.
+  constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t extremes[] = {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   kInt32Min,
+                                   kInt32Max,
+                                   kInt32Min - 1,
+                                   kInt32Max + 1};
+  Rng rng(0x5ca7);
+  for (const Tier& tier : kTiers) {
+    ScopedTier guard(tier);
+    for (std::size_t n = 1; n <= 257; ++n) {
+      const auto background = random_signal(rng, n, 20);
+      for (const std::int64_t extreme : extremes) {
+        for (const std::size_t at : {std::size_t{0}, n - 1, n & ~std::size_t{7},
+                                     n & ~std::size_t{3}}) {
+          if (at >= n) continue;
+          std::vector<std::int64_t> v = background;
+          v[at] = extreme;
+          std::int64_t want_lo = v[0];
+          std::int64_t want_hi = v[0];
+          bool want_fit = true;
+          for (const std::int64_t x : v) {
+            want_lo = std::min(want_lo, x);
+            want_hi = std::max(want_hi, x);
+            want_fit = want_fit && x >= kInt32Min && x <= kInt32Max;
+          }
+          std::int64_t lo = 0;
+          std::int64_t hi = 0;
+          simd::minmax_i64(v.data(), n, lo, hi);
+          ASSERT_EQ(lo, want_lo) << "n=" << n << " at=" << at << " x=" << extreme
+                                 << " tier=" << tier.name;
+          ASSERT_EQ(hi, want_hi) << "n=" << n << " at=" << at << " x=" << extreme
+                                 << " tier=" << tier.name;
+          ASSERT_EQ(simd::all_fit_i32(v.data(), n), want_fit)
+              << "n=" << n << " at=" << at << " x=" << extreme << " tier=" << tier.name;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------- dispatch
+
+TEST(SimdDispatch, DefaultBuildRunsTheBestTierTheCpuHas) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "this CPU has no AVX2";
+  const bool avx512 =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl");
+  {
+    simd::ScopedAvx512 cap(true);
+    EXPECT_STREQ(simd::active_path(), avx512 ? "avx512" : "avx2");
+  }
+  {
+    simd::ScopedAvx512 cap(false);
+    EXPECT_STREQ(simd::active_path(), "avx2");
+  }
+  {
+    simd::ScopedEnable off(false);
+    EXPECT_STREQ(simd::active_path(), "scalar");
+  }
+#else
+  GTEST_SKIP() << "the AVX2 and AVX-512 tiers exist on x86-64 only";
+#endif
 }
 
 // ----------------------------------------------------------- whole pipeline

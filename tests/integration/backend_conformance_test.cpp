@@ -19,6 +19,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/asic/gc4016.hpp"
@@ -32,6 +33,7 @@
 #include "src/dsp/signal.hpp"
 #include "src/fixed/qformat.hpp"
 #include "src/montium/ddc_mapping.hpp"
+#include "tests/core/simd_tiers.hpp"
 
 namespace twiddc {
 namespace {
@@ -332,43 +334,47 @@ TEST_F(BackendConformance, LoweringDiagnosticsNameTheUnmappableFeature) {
 TEST_F(BackendConformance, OutOfRangeBlockIsRejectedBeforeAnyStateMoves) {
   // The process_block contract: one sample that does not fit the plan's
   // input width rejects the whole block -- SimulationError, nothing
-  // appended, no state advanced -- however late in the block it sits.
+  // appended, no state advanced -- however late in the block it sits.  The
+  // range scan is vectorised per kernel tier, so every tier runs it.
   const auto& registry = core::BackendRegistry::instance();
   const auto cfg = DdcConfig::reference(10.0e6);
-  for (const char* name : kBuiltinBackends) {
-    SCOPED_TRACE(name);
-    auto backend = registry.create(name);
-    const ChainPlan plan = backend->plan_for(cfg);
-    backend->configure(plan);
+  for (const test::Tier& tier : test::kTiers) {
+    for (const char* name : kBuiltinBackends) {
+      SCOPED_TRACE(std::string(name) + " tier " + tier.name);
+      test::ScopedTier guard(tier);
+      auto backend = registry.create(name);
+      const ChainPlan plan = backend->plan_for(cfg);
+      backend->configure(plan);
 
-    std::vector<IqSample> out;
-    EXPECT_NO_THROW(backend->process_block({}, out));  // empty block passes
-    EXPECT_TRUE(out.empty());
+      std::vector<IqSample> out;
+      EXPECT_NO_THROW(backend->process_block({}, out));  // empty block passes
+      EXPECT_TRUE(out.empty());
 
-    // 30 output frames (80,640 samples): long enough to cross every
-    // backend's internal tile or window before the bad sample.
-    std::vector<std::int64_t> block = stimulus(plan, 30, 0x500u);
-    const std::size_t bad_at = block.size() - 100;
-    const std::int64_t good = block[bad_at];
-    block[bad_at] = std::int64_t{1} << plan.front_end.input_bits;
-    EXPECT_THROW(backend->process_block(block, out), SimulationError);
-    EXPECT_TRUE(out.empty()) << out.size() << " outputs appended";
+      // 30 output frames (80,640 samples): long enough to cross every
+      // backend's internal tile or window before the bad sample.
+      std::vector<std::int64_t> block = stimulus(plan, 30, 0x500u);
+      const std::size_t bad_at = block.size() - 100;
+      const std::int64_t good = block[bad_at];
+      block[bad_at] = std::int64_t{1} << plan.front_end.input_bits;
+      EXPECT_THROW(backend->process_block(block, out), SimulationError);
+      EXPECT_TRUE(out.empty()) << out.size() << " outputs appended";
 
-    // Nothing moved: the backend now runs a valid block like a fresh one.
-    out.clear();
-    block[bad_at] = good;
-    backend->process_block(block, out);
-    auto fresh = registry.create(name);
-    fresh->configure(plan);
-    std::vector<IqSample> expected;
-    fresh->process_block(block, expected);
-    const bool same =
-        std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
-                   [](const IqSample& a, const IqSample& b) {
-                     return a.i == b.i && a.q == b.q;
-                   });
-    EXPECT_TRUE(same) << out.size() << " outputs vs a fresh instance's "
-                      << expected.size();
+      // Nothing moved: the backend now runs a valid block like a fresh one.
+      out.clear();
+      block[bad_at] = good;
+      backend->process_block(block, out);
+      auto fresh = registry.create(name);
+      fresh->configure(plan);
+      std::vector<IqSample> expected;
+      fresh->process_block(block, expected);
+      const bool same =
+          std::equal(out.begin(), out.end(), expected.begin(), expected.end(),
+                     [](const IqSample& a, const IqSample& b) {
+                       return a.i == b.i && a.q == b.q;
+                     });
+      EXPECT_TRUE(same) << out.size() << " outputs vs a fresh instance's "
+                        << expected.size();
+    }
   }
 }
 
