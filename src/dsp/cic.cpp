@@ -302,8 +302,8 @@ void NonRecursiveCic::reset() {
   hist_.assign(hist_.size(), 0);
 }
 
-template <typename In>
-void NonRecursiveCic::run(std::span<const In> in, std::vector<std::int64_t>& out) {
+void NonRecursiveCic::run(const std::int64_t* wide, const std::int32_t* narrow,
+                          std::size_t size, std::vector<std::int64_t>& out) {
   const std::size_t order = static_cast<std::size_t>(stages_);
   const int wrap_shift = 32 - register_bits_;
   std::vector<Lane>& wa = window(0);
@@ -320,14 +320,18 @@ void NonRecursiveCic::run(std::span<const In> in, std::vector<std::int64_t>& out
   };
   const auto levels = static_cast<std::size_t>(levels_);
   // One tier for the whole block: the lane load, every sub-stage and the
-  // sign-extending store compile once per tier.
+  // sign-extending store compile once per tier.  Only the lane load
+  // depends on the input type, so both loads live in the one body.
   simd::run_tiered([&]() TWIDDC_ALWAYS_INLINE {
-    for (std::size_t off = 0; off < in.size(); off += kNonRecursiveChunk) {
-      std::size_t n = std::min(kNonRecursiveChunk, in.size() - off);
+    for (std::size_t off = 0; off < size; off += kNonRecursiveChunk) {
+      std::size_t n = std::min(kNonRecursiveChunk, size - off);
       Lane* a = wa.data();
       Lane* b = wb.data();
       load_history(0, a);
-      for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(in[off + i]);
+      if (wide != nullptr)
+        for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(wide[off + i]);
+      else
+        for (std::size_t i = 0; i < n; ++i) a[order + i] = static_cast<Lane>(narrow[off + i]);
       for (std::size_t s = 0; s < levels; ++s) {
         load_history(s + 1, b);
         const std::size_t m = halve(stages_, a, n, phase_[s], b + order);
@@ -352,12 +356,12 @@ void NonRecursiveCic::run(std::span<const In> in, std::vector<std::int64_t>& out
 
 void NonRecursiveCic::process_block(std::span<const std::int64_t> in,
                                     std::vector<std::int64_t>& out) {
-  run(in, out);
+  run(in.data(), nullptr, in.size(), out);
 }
 
 void NonRecursiveCic::process_block(std::span<const std::int32_t> in,
                                     std::vector<std::int64_t>& out) {
-  run(in, out);
+  run(nullptr, in.data(), in.size(), out);
 }
 
 }  // namespace twiddc::dsp

@@ -118,8 +118,9 @@ class NonRecursiveCic {
   [[nodiscard]] int register_bits() const { return register_bits_; }
 
  private:
-  template <typename In>
-  void run(std::span<const In> in, std::vector<std::int64_t>& out);
+  /// Feeds `size` samples from `wide` or, when it is null, from `narrow`.
+  void run(const std::int64_t* wide, const std::int32_t* narrow, std::size_t size,
+           std::vector<std::int64_t>& out);
 
   int stages_ = 1;
   int levels_ = 0;  ///< k = log2(R)

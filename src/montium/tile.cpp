@@ -1,5 +1,6 @@
 #include "src/montium/tile.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "src/common/error.hpp"
@@ -13,31 +14,47 @@ Alu::Alu(int index, int word_bits)
 }
 
 void Alu::begin_cycle() {
-  current_part_.clear();
+  current_ = kNoPart;
   used_mults_ = 0;
   used_addsubs_ = 0;
   used_logicals_ = 0;
   ++total_cycles_;
 }
 
-void Alu::issue(const std::string& part, int mults, int addsubs, int logicals) {
-  if (!current_part_.empty() && current_part_ != part)
+void Alu::issue(std::string_view part, int mults, int addsubs, int logicals) {
+  if (current_ != kNoPart && parts_[static_cast<std::size_t>(current_)] != part)
     throw SimulationError("Alu " + std::to_string(index_) +
-                          ": two algorithm parts in one cycle ('" + current_part_ +
-                          "' and '" + part + "')");
+                          ": two algorithm parts in one cycle ('" + current_part() +
+                          "' and '" + std::string(part) + "')");
   used_mults_ += mults;
   used_addsubs_ += addsubs;
   used_logicals_ += logicals;
   if (used_mults_ > limits_.multiplies || used_addsubs_ > limits_.addsubs ||
       used_logicals_ > limits_.logicals)
     throw SimulationError("Alu " + std::to_string(index_) + ": cycle over-subscribed by '" +
-                          part + "' (" + std::to_string(used_mults_) + " mult, " +
-                          std::to_string(used_addsubs_) + " addsub, " +
+                          std::string(part) + "' (" + std::to_string(used_mults_) +
+                          " mult, " + std::to_string(used_addsubs_) + " addsub, " +
                           std::to_string(used_logicals_) + " logic)");
-  if (current_part_.empty()) {
-    current_part_ = part;
-    ++busy_cycles_[part];
+  if (current_ == kNoPart) {
+    const auto known = std::find(parts_.begin(), parts_.end(), part);
+    current_ = static_cast<int>(known - parts_.begin());
+    if (known == parts_.end()) {
+      parts_.emplace_back(part);
+      busy_.push_back(0);
+    }
+    ++busy_[static_cast<std::size_t>(current_)];
   }
+}
+
+const std::string& Alu::current_part() const {
+  static const std::string kIdle;
+  return current_ == kNoPart ? kIdle : parts_[static_cast<std::size_t>(current_)];
+}
+
+std::map<std::string, std::uint64_t> Alu::busy_cycles() const {
+  std::map<std::string, std::uint64_t> cycles;
+  for (std::size_t id = 0; id < parts_.size(); ++id) cycles.emplace(parts_[id], busy_[id]);
+  return cycles;
 }
 
 std::int64_t Alu::reg(int slot) const {

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fixed/qformat.hpp"
@@ -45,8 +46,9 @@ class Alu {
 
   /// Books `mults`/`addsubs`/`logicals` operations for algorithm part
   /// `part` in the current cycle.  Throws SimulationError if the Figure 7
-  /// envelope is exceeded -- an invalid schedule is a bug, not data.
-  void issue(const std::string& part, int mults, int addsubs, int logicals = 0);
+  /// envelope is exceeded or the cycle already belongs to another part --
+  /// an invalid schedule is a bug, not data.
+  void issue(std::string_view part, int mults, int addsubs, int logicals = 0);
 
   // -- datapath helpers (wrap at word_bits, like hardware registers) -------
   [[nodiscard]] std::int64_t wrap(std::int64_t v) const {
@@ -58,23 +60,26 @@ class Alu {
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] int word_bits() const { return word_bits_; }
   /// Part label this ALU worked on in the current cycle ("" if idle).
-  [[nodiscard]] const std::string& current_part() const { return current_part_; }
+  [[nodiscard]] const std::string& current_part() const;
   /// Cycles booked per part since construction.
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& busy_cycles() const {
-    return busy_cycles_;
-  }
+  [[nodiscard]] std::map<std::string, std::uint64_t> busy_cycles() const;
   [[nodiscard]] std::uint64_t total_cycles() const { return total_cycles_; }
 
  private:
+  static constexpr int kNoPart = -1;
+
   int index_;
   int word_bits_;
   AluLimits limits_;
   std::vector<std::int64_t> regs_;
-  std::string current_part_;
+  // The parts this ALU has worked on, interned on first booking (a schedule
+  // uses a handful per ALU), and the cycles booked to each, by the same id.
+  std::vector<std::string> parts_;
+  std::vector<std::uint64_t> busy_;
+  int current_ = kNoPart;  ///< id of the current cycle's part
   int used_mults_ = 0;
   int used_addsubs_ = 0;
   int used_logicals_ = 0;
-  std::map<std::string, std::uint64_t> busy_cycles_;
   std::uint64_t total_cycles_ = 0;
 };
 

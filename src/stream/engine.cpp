@@ -106,13 +106,12 @@ void StreamEngine::start() {
     workers_live_ = true;
   }
   const auto sessions = snapshot();
-  for (auto& s : sessions) {
-    // A stop() may have dropped queued tasks mid-protocol; re-arm the actor
-    // state machine.  Duplicate tasks are harmless (run_session claims by
-    // CAS), so a racing client nudge cannot double-run a session.
-    s->sched_state_.store(Session::kIdle, std::memory_order_release);
-    s->set_attached(true);
-  }
+  // A stop() may have dropped queued tasks mid-protocol: attaching re-arms
+  // each actor to kIdle, under the session's control_mu_ so the store never
+  // overwrites a claim a retune() holds.  Duplicate tasks are harmless
+  // (run_session claims by CAS), so a racing client nudge cannot double-run
+  // a session.
+  for (auto& s : sessions) s->set_attached(true);
   {
     std::lock_guard<std::mutex> lock(link_->mu);
     link_->scheduler_live = true;
@@ -742,7 +741,8 @@ void StreamEngine::watchdog_loop() {
     const auto sessions = snapshot();
 
     // 1. Timed kBackoff restarts: kick the session's worker; the service
-    //    pass does the actual re-configure (only workers touch backends).
+    //    pass does the actual re-configure (the watchdog never holds a
+    //    session's actor, so it never touches a backend).
     for (const auto& s : sessions)
       if (!s->closed() && s->restart_due(now)) schedule_session(*s);
 
@@ -925,6 +925,7 @@ std::string StreamEngine::stats_json() const {
                static_cast<std::size_t>(st.output_drop_samples))
         .field("max_queue_depth", static_cast<std::size_t>(st.max_queue_depth))
         .field("retunes_applied", static_cast<std::size_t>(st.retunes_applied))
+        .field("retunes_inline", static_cast<std::size_t>(st.retunes_inline))
         .field("retunes_rejected", static_cast<std::size_t>(st.retunes_rejected))
         .field("gaps", static_cast<std::size_t>(st.gaps))
         .field("last_retune_block", static_cast<std::size_t>(st.last_retune_block))

@@ -18,7 +18,9 @@
 //                 weighted quantum re-queues behind every other queued
 //                 task.  Sessions with no work are in no queue at all --
 //                 scheduling cost follows *active* sessions, not open ones.
-//   client        opens/polls/retunes/closes sessions from its own threads.
+//   client        opens/polls/retunes/closes sessions from its own threads;
+//                 a retune of a session no worker is serving swaps on the
+//                 client's thread (Session::retune).
 //
 // The engine is restartable: construct, open sessions (any time), start(),
 // stream, stop(), and -- new in the scheduler rework -- start() again to
@@ -188,7 +190,8 @@ class StreamEngine {
   bool service(Session& session, std::size_t budget);
   /// kBackoff sessions only: if the timed retry is due, re-lowers the plan
   /// through backend configure (hence the process-wide CompiledPlanCache)
-  /// and returns true on recovery.  Worker thread (it touches the backend).
+  /// and returns true on recovery.  Worker thread, inside a pass (it
+  /// touches the backend).
   bool try_restart(Session& session);
   /// The watchdog thread: timed kBackoff restarts, stall quarantine,
   /// overload shedding.  Runs between start() and stop().

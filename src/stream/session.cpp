@@ -97,83 +97,102 @@ bool Session::retune(const core::ChainPlan& plan, core::SwapMode mode) {
   // second request must queue behind the first, not overwrite it.
   std::lock_guard<std::mutex> serial(retune_serial_mu_);
   std::unique_lock<std::mutex> lock(control_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    last_error_ = "session closed";
-    return false;
-  }
-  if (detached_.load(std::memory_order_acquire)) {
-    // No workers are attached; apply on the caller's thread.
-    RetuneRequest request{plan, mode};
-    apply_swap_locked(request);
-    const bool ok = retune_result_.value_or(false);
-    retune_result_.reset();
-    auto swap_fault = std::move(pending_swap_fault_);
-    pending_swap_fault_.reset();
-    lock.unlock();
-    if (swap_fault) fault(FaultCause::kBackendSwap, std::move(*swap_fault));
-    return ok;
-  }
-  pending_retune_.emplace(RetuneRequest{plan, mode});
-  retune_result_.reset();
-  lock.unlock();
-  request_service();  // queue a pass so idle sessions retune promptly
-  lock.lock();
-  control_cv_.wait(lock, [this] {
-    return retune_result_.has_value() ||
-           detached_.load(std::memory_order_acquire) ||
-           closed_.load(std::memory_order_acquire);
-  });
-  if (!retune_result_.has_value() && pending_retune_.has_value()) {
-    // The workers detached (engine stopped) before picking the request up.
-    const RetuneRequest request = std::move(*pending_retune_);
-    pending_retune_.reset();
+  for (;;) {
+    if (retune_result_.has_value()) {
+      // A worker applied (or rejected) the mailbox request.
+      const bool ok = *retune_result_;
+      retune_result_.reset();
+      return ok;
+    }
     if (closed_.load(std::memory_order_acquire)) {
+      pending_retune_.reset();
       last_error_ = "session closed";
       return false;
     }
-    apply_swap_locked(request);
+    if (try_claim_actor()) {
+      // No worker is inside a pass, and none can enter one until the
+      // release below: swap here, at the block boundary the last pass left.
+      // A request parked in the mailbox was never reached; take it back.
+      pending_retune_.reset();
+      const bool faulted = apply_swap_locked(plan, mode, /*inline_swap=*/true);
+      const bool ok = *retune_result_;
+      retune_result_.reset();
+      // Release before dropping control_mu_, which start()'s re-arm takes.
+      // Re-queue unconditionally: a queued task this claim overtook fails
+      // its own claim and is dropped, and a nudge that arrived meanwhile
+      // was absorbed by kRunningDirty.
+      sched_state_.store(kIdle, std::memory_order_release);
+      lock.unlock();
+      if (faulted) finish_fault();
+      request_service();
+      return ok;
+    }
+    if (!pending_retune_.has_value()) {
+      // A worker holds the actor: post to the mailbox, which the worker
+      // reads after its current block, and mark its pass dirty so it
+      // re-queues if it ends first.  Then claim again -- the pass may have
+      // ended meanwhile, and the run queue is the wait to avoid.
+      pending_retune_.emplace(RetuneRequest{plan, mode});
+      lock.unlock();
+      request_service();
+      lock.lock();
+      continue;
+    }
+    // Woken by the worker's answer, a close, or a stop() that detached the
+    // workers before they reached the mailbox (the claim then succeeds:
+    // stop() joins every worker before it detaches).
+    control_cv_.wait(lock, [this] {
+      return retune_result_.has_value() ||
+             detached_.load(std::memory_order_acquire) ||
+             closed_.load(std::memory_order_acquire);
+    });
   }
-  const bool ok = retune_result_.value_or(false);
-  retune_result_.reset();
-  auto swap_fault = std::move(pending_swap_fault_);
-  pending_swap_fault_.reset();
-  lock.unlock();
-  if (swap_fault) fault(FaultCause::kBackendSwap, std::move(*swap_fault));
-  return ok;
+}
+
+bool Session::try_claim_actor() {
+  int st = sched_state_.load(std::memory_order_acquire);
+  while (st == kIdle || st == kScheduled) {
+    if (sched_state_.compare_exchange_weak(st, kRunning, std::memory_order_acq_rel))
+      return true;
+  }
+  return false;
 }
 
 bool Session::apply_pending_retune() {
-  std::optional<std::string> swap_fault;
+  bool faulted = false;
   {
     std::unique_lock<std::mutex> lock(control_mu_);
     if (!pending_retune_.has_value()) return false;
     const RetuneRequest request = std::move(*pending_retune_);
     pending_retune_.reset();
-    apply_swap_locked(request);
-    swap_fault = std::move(pending_swap_fault_);
-    pending_swap_fault_.reset();
+    faulted = apply_swap_locked(request.plan, request.mode, /*inline_swap=*/false);
     control_cv_.notify_all();
   }
-  if (swap_fault) fault(FaultCause::kBackendSwap, std::move(*swap_fault));
+  if (faulted) finish_fault();
   return true;
 }
 
-void Session::apply_swap_locked(const RetuneRequest& request) {
+bool Session::apply_swap_locked(const core::ChainPlan& plan, core::SwapMode mode,
+                                bool inline_swap) {
+  std::string broke;
   try {
-    backend_->swap_plan(request.plan, request.mode);
+    backend_->swap_plan(plan, mode);
     plan_name_ = backend_->plan().name;
     stats_.retunes_applied.fetch_add(1, std::memory_order_relaxed);
+    if (inline_swap) stats_.retunes_inline.fetch_add(1, std::memory_order_relaxed);
     stats_.last_retune_block.store(
         stats_.blocks_processed.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
-    if (request.mode == core::SwapMode::kFlush) pending_flush_gap_ = true;
+    if (mode == core::SwapMode::kFlush) pending_flush_gap_ = true;
     retune_result_ = true;
     if (trace::enabled(kTraceCat)) {
-      // arg1: 0 = flush swap, 1 = splice swap.
+      // arg1: bit 0 set = splice swap (clear = flush), bit 1 set = applied
+      // inline on the retune() caller's thread (clear = by a worker).
       static const std::uint16_t kName = trace::intern("retune");
       trace::emit(kTraceCat, kName, trace::Phase::kInstant, id_,
-                  request.mode == core::SwapMode::kFlush ? 0 : 1);
+                  (mode == core::SwapMode::kFlush ? 0u : 1u) | (inline_swap ? 2u : 0u));
     }
+    return false;
   } catch (const ConfigError& e) {
     // A lowering/config rejection is the swap contract working, not a
     // fault: swap_plan guarantees the old configuration stays active and
@@ -185,21 +204,25 @@ void Session::apply_swap_locked(const RetuneRequest& request) {
       static const std::uint16_t kName = trace::intern("retune_rejected");
       trace::emit(kTraceCat, kName, trace::Phase::kInstant, id_, 0);
     }
+    return false;
   } catch (const std::exception& e) {
-    // Anything else means the backend broke mid-swap; the caller converts
-    // the stash into a kBackendSwap fault after releasing control_mu_.
-    last_error_ = e.what();
-    retune_result_ = false;
-    pending_swap_fault_ = e.what();
+    broke = e.what();
   } catch (...) {
-    last_error_ = "swap_plan: foreign exception";
-    retune_result_ = false;
-    pending_swap_fault_ = "swap_plan: foreign exception";
+    broke = "swap_plan: foreign exception";
   }
+  // The backend broke mid-swap: enter the fault now, so whoever holds the
+  // actor next already sees the new health and never runs a block on it.
+  retune_result_ = false;
+  enter_fault_locked(
+      FaultInfo{FaultCause::kBackendSwap,
+                stats_.blocks_processed.load(std::memory_order_relaxed), std::move(broke)},
+      restart_opts_.policy);
+  return true;
 }
 
 void Session::set_attached(bool attached) {
   std::lock_guard<std::mutex> lock(control_mu_);
+  if (attached) sched_state_.store(kIdle, std::memory_order_release);
   detached_.store(!attached, std::memory_order_release);
   control_cv_.notify_all();
 }
@@ -246,6 +269,11 @@ std::string Session::plan_name() const {
   return plan_name_;
 }
 
+bool Session::retune_pending() const {
+  std::lock_guard<std::mutex> lock(control_mu_);
+  return pending_retune_.has_value();
+}
+
 std::string Session::last_error() const {
   std::lock_guard<std::mutex> lock(control_mu_);
   return last_error_;
@@ -271,6 +299,14 @@ void Session::quarantine(FaultCause cause, std::string what) {
 }
 
 void Session::apply_fault_transition(FaultInfo info, RestartPolicy policy) {
+  {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    enter_fault_locked(std::move(info), policy);
+  }
+  finish_fault();
+}
+
+void Session::enter_fault_locked(FaultInfo info, RestartPolicy policy) {
   if (trace::enabled(kTraceCat)) {
     // arg1 carries the stable wire code (error_code), so a trace consumer
     // matches causes without the enum header.
@@ -278,43 +314,42 @@ void Session::apply_fault_transition(FaultInfo info, RestartPolicy policy) {
     trace::emit(kTraceCat, kName, trace::Phase::kInstant, id_,
                 static_cast<std::uint64_t>(error_code(info.cause)));
   }
-  bool do_close = false;
-  {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    last_error_ = info.what;
-    last_fault_ = std::move(info);
-    stats_.faults.fetch_add(1, std::memory_order_relaxed);
-    switch (policy) {
-      case RestartPolicy::kFail:
-        health_.store(static_cast<std::uint8_t>(SessionHealth::kFaulted),
-                      std::memory_order_release);
-        do_close = true;
-        break;
-      case RestartPolicy::kRestartWithBackoff:
-        if (restarts_done_ >= restart_opts_.max_restarts) {
-          health_.store(static_cast<std::uint8_t>(SessionHealth::kQuarantined),
-                        std::memory_order_release);
-        } else {
-          if (current_backoff_.count() <= 0)
-            current_backoff_ =
-                std::max(std::chrono::milliseconds{1}, restart_opts_.initial_backoff);
-          restart_at_ = std::chrono::steady_clock::now() + current_backoff_;
-          current_backoff_ = std::min(current_backoff_ * 2, restart_opts_.max_backoff);
-          health_.store(static_cast<std::uint8_t>(SessionHealth::kBackoff),
-                        std::memory_order_release);
-        }
-        break;
-      case RestartPolicy::kQuarantine:
+  last_error_ = info.what;
+  last_fault_ = std::move(info);
+  stats_.faults.fetch_add(1, std::memory_order_relaxed);
+  switch (policy) {
+    case RestartPolicy::kFail:
+      health_.store(static_cast<std::uint8_t>(SessionHealth::kFaulted),
+                    std::memory_order_release);
+      break;
+    case RestartPolicy::kRestartWithBackoff:
+      if (restarts_done_ >= restart_opts_.max_restarts) {
         health_.store(static_cast<std::uint8_t>(SessionHealth::kQuarantined),
                       std::memory_order_release);
-        break;
-    }
-    // A retune() parked on the mailbox must re-check: a quarantined session
-    // still applies pending retunes on its next service pass, but a kFail
-    // close below is terminal.
-    control_cv_.notify_all();
+      } else {
+        if (current_backoff_.count() <= 0)
+          current_backoff_ =
+              std::max(std::chrono::milliseconds{1}, restart_opts_.initial_backoff);
+        restart_at_ = std::chrono::steady_clock::now() + current_backoff_;
+        current_backoff_ = std::min(current_backoff_ * 2, restart_opts_.max_backoff);
+        health_.store(static_cast<std::uint8_t>(SessionHealth::kBackoff),
+                      std::memory_order_release);
+      }
+      break;
+    case RestartPolicy::kQuarantine:
+      health_.store(static_cast<std::uint8_t>(SessionHealth::kQuarantined),
+                    std::memory_order_release);
+      break;
   }
-  if (do_close) {
+  // A retune() parked on the mailbox must re-check: a quarantined session
+  // still applies pending retunes on its next service pass, but a kFail
+  // close is terminal.
+  control_cv_.notify_all();
+}
+
+void Session::finish_fault() {
+  // kFaulted is terminal and entered only under kFail: close the session.
+  if (health() == SessionHealth::kFaulted) {
     close();
     return;
   }
@@ -426,6 +461,7 @@ SessionStats Session::stats() const {
   s.output_drop_samples = stats_.output_drop_samples.load(std::memory_order_relaxed);
   s.max_queue_depth = stats_.max_queue_depth.load(std::memory_order_relaxed);
   s.retunes_applied = stats_.retunes_applied.load(std::memory_order_relaxed);
+  s.retunes_inline = stats_.retunes_inline.load(std::memory_order_relaxed);
   s.retunes_rejected = stats_.retunes_rejected.load(std::memory_order_relaxed);
   s.gaps = stats_.gaps.load(std::memory_order_relaxed);
   s.last_retune_block = stats_.last_retune_block.load(std::memory_order_relaxed);

@@ -16,9 +16,10 @@
 //
 // Threading contract: poll(), retune(), set_paused(), set_weight() and
 // close() are client calls (any one thread); the backend itself is touched
-// only by the worker currently running the session's task (the scheduler
-// guarantees one at a time) or, when the engine is not running, inline by
-// retune().  Backpressure when a ring fills is per-session and explicit:
+// only by the holder of the session's actor (sched_state_): the worker
+// running the session's pass, or a client inside retune() that claimed the
+// actor while no pass was running.  Backpressure when a ring fills is
+// per-session and explicit:
 //
 //   kBlock      the producer waits -- a slow consumer throttles the pump
 //               (and through it the whole feed: conservative end-to-end
@@ -145,7 +146,8 @@ struct SessionStats {
   std::uint64_t output_drop_chunks = 0;  ///< kDropOldest evictions (output ring)
   std::uint64_t output_drop_samples = 0;
   std::uint64_t max_queue_depth = 0;   ///< input-ring high-water mark (blocks)
-  std::uint64_t retunes_applied = 0;
+  std::uint64_t retunes_applied = 0;   ///< swaps applied, inline or by a worker
+  std::uint64_t retunes_inline = 0;    ///< of those, swapped on the caller's thread
   std::uint64_t retunes_rejected = 0;
   std::uint64_t gaps = 0;              ///< discontinuities surfaced in chunks
   std::uint64_t last_retune_block = 0; ///< blocks_processed when the last
@@ -187,15 +189,17 @@ class Session : public std::enable_shared_from_this<Session> {
   /// output is never stranded.
   [[nodiscard]] std::vector<StreamChunk> poll(std::size_t max_chunks = 0);
 
-  /// Requests a runtime plan swap; the worker applies it between feed
-  /// blocks (a full output ring parks the *session*, never its worker, so
-  /// a single-threaded client that is not currently polling cannot
-  /// deadlock here, and a backlogged session cannot starve another one)
-  /// via the backend's swap_plan() glitch contract.  Blocks until the
-  /// swap is applied or rejected; returns false -- with the diagnostic in
-  /// last_error() -- when the backend cannot lower the new plan (the old
-  /// plan keeps streaming) or the session is closed.  When the engine is
-  /// not running the swap is applied inline on the caller's thread.
+  /// Swaps the plan at a feed-block boundary via the backend's swap_plan()
+  /// glitch contract.  While no worker is inside a pass (the session is
+  /// idle, queued, parked on a full output ring, or the engine is stopped)
+  /// the caller claims the session's actor and swaps on its own thread at
+  /// the boundary the last pass left; while a worker is mid-pass the
+  /// request goes through a one-slot mailbox that the worker applies after
+  /// its current block.  Blocks until the swap is applied or rejected;
+  /// returns false -- with the diagnostic in last_error() -- when the
+  /// backend cannot lower the new plan (the old plan keeps streaming), the
+  /// swap broke the backend (a kBackendSwap fault), or the session is
+  /// closed.
   bool retune(const core::ChainPlan& plan,
               core::SwapMode mode = core::SwapMode::kFlush);
 
@@ -231,6 +235,10 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] std::size_t queued_input_blocks() const { return in_ring_.size(); }
   [[nodiscard]] std::size_t queued_output_chunks() const { return out_ring_.size(); }
 
+  /// True while a retune() waits in the mailbox for the worker that is
+  /// mid-pass on this session (instantaneous, like the queue depths).
+  [[nodiscard]] bool retune_pending() const;
+
   /// Diagnostic of the last rejected retune or backend failure.
   [[nodiscard]] std::string last_error() const;
 
@@ -261,14 +269,15 @@ class Session : public std::enable_shared_from_this<Session> {
  private:
   friend class StreamEngine;
 
-  /// Actor scheduling states (sched_state_).  Only the claiming worker
-  /// moves kScheduled -> kRunning (by CAS, so a duplicate queued task is a
-  /// harmless no-op); anyone may mark a running session dirty, which makes
-  /// the worker's epilogue re-queue it.  The protocol never loses a wakeup
-  /// and never runs one session on two workers.
+  /// Actor scheduling states (sched_state_).  A worker claims the actor by
+  /// CAS kScheduled -> kRunning (so a duplicate queued task is a harmless
+  /// no-op); retune() claims it from kIdle or kScheduled.  Anyone may mark
+  /// a running session dirty, which makes the holder re-queue it.  The
+  /// protocol never loses a wakeup and never lets two threads hold one
+  /// session's actor.
   static constexpr int kIdle = 0;       ///< not queued, no service requested
   static constexpr int kScheduled = 1;  ///< a task is in the run queue
-  static constexpr int kRunning = 2;    ///< a worker is inside run_session
+  static constexpr int kRunning = 2;    ///< held: a worker's pass or a retune()
   static constexpr int kRunningDirty = 3;  ///< running + re-service requested
 
   struct AtomicStats {
@@ -284,6 +293,7 @@ class Session : public std::enable_shared_from_this<Session> {
     std::atomic<std::uint64_t> output_drop_samples{0};
     std::atomic<std::uint64_t> max_queue_depth{0};
     std::atomic<std::uint64_t> retunes_applied{0};
+    std::atomic<std::uint64_t> retunes_inline{0};
     std::atomic<std::uint64_t> retunes_rejected{0};
     std::atomic<std::uint64_t> gaps{0};
     std::atomic<std::uint64_t> last_retune_block{0};
@@ -304,12 +314,20 @@ class Session : public std::enable_shared_from_this<Session> {
           std::size_t output_chunks, std::shared_ptr<EngineLink> link,
           std::shared_ptr<std::atomic<std::uint32_t>> output_epoch);
 
-  /// Applies a pending retune if one is queued.  Worker thread (or inline
-  /// from retune() when detached).  Returns true when a swap was applied or
-  /// rejected.
+  /// Applies the mailbox's retune if one is queued.  Worker thread, inside
+  /// a pass.  Returns true when a swap was applied or rejected.
   bool apply_pending_retune();
-  /// The kFlush/kSplice application itself; control_mu_ must be held.
-  void apply_swap_locked(const RetuneRequest& request);
+  /// The kFlush/kSplice application itself, by the actor's holder with
+  /// control_mu_ held; sets retune_result_.  A swap_plan that throws
+  /// anything but a ConfigError broke the backend: the kBackendSwap fault
+  /// is entered here, before the holder releases the actor, and the return
+  /// value tells the caller to run finish_fault() once control_mu_ is
+  /// released.
+  bool apply_swap_locked(const core::ChainPlan& plan, core::SwapMode mode,
+                         bool inline_swap);
+  /// retune()'s claim: kIdle or kScheduled -> kRunning by CAS.  False while
+  /// a worker holds the actor.
+  bool try_claim_actor();
 
   /// Converts a caught exception into a FaultInfo and walks the fault-state
   /// machine per restart_opts_.  Callable from any thread (the worker's
@@ -327,12 +345,19 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] bool restart_due(std::chrono::steady_clock::time_point now) const;
   /// kBackoff -> kHealthy after a successful re-configure (worker thread).
   void complete_restart();
-  /// Shared tail of fault()/quarantine(): state transition under control_mu_,
-  /// then the unlock-side effects (ring drain/wakes, drain notification).
+  /// Shared tail of fault()/quarantine(): enter_fault_locked under
+  /// control_mu_, then finish_fault().
   void apply_fault_transition(FaultInfo info, RestartPolicy policy);
+  /// Records `info` and moves health_ per `policy`; control_mu_ must be held.
+  void enter_fault_locked(FaultInfo info, RestartPolicy policy);
+  /// The unlock-side effects of a fault transition: close a kFaulted
+  /// session, drop a quarantined one's backlog, wake the pump and drains.
+  void finish_fault();
 
-  /// Engine start/stop handshake: while attached, retunes go through the
-  /// worker; while detached, retune() applies inline.
+  /// Engine start/stop handshake.  Attaching re-arms the actor to kIdle (a
+  /// stop() may have dropped queued tasks mid-protocol) under control_mu_,
+  /// so it never overwrites a claim retune() holds; detaching wakes a
+  /// retune() parked on the mailbox so it claims the actor instead.
   void set_attached(bool attached);
 
   /// Asks the engine (if alive and running) to schedule a service pass for
@@ -367,9 +392,10 @@ class Session : public std::enable_shared_from_this<Session> {
   /// in-stream (watchdog writes, worker drains onto the next chunk).
   std::atomic<std::uint64_t> pending_shed_samples_{0};
 
-  // Worker-only state: the scheduler runs at most one service pass at a
-  // time, and passes are ordered through the sched_state_ acquire/release
-  // protocol, so no further synchronisation is needed.
+  // Actor-holder state: only the holder of sched_state_'s claim (a
+  // worker's pass or an inline retune) touches it, and holders are ordered
+  // through the claim's acquire/release protocol, so no further
+  // synchronisation is needed.
   bool pending_flush_gap_ = false;
   bool pending_fault_gap_ = false;  ///< first post-restart chunk marks kFault
   std::uint64_t pending_fault_lost_samples_ = 0;  ///< feed samples the faulted
@@ -390,16 +416,13 @@ class Session : public std::enable_shared_from_this<Session> {
 
   // Serializes whole retune() calls (the mailbox below is one slot).
   std::mutex retune_serial_mu_;
-  // Retune mailbox + error string, guarded by control_mu_.
+  // Retune mailbox + error string, guarded by control_mu_.  retune() holds
+  // control_mu_ from its claim of the actor to the release.
   mutable std::mutex control_mu_;
   std::condition_variable control_cv_;
   std::optional<RetuneRequest> pending_retune_;
   std::optional<bool> retune_result_;
   std::string last_error_;
-  /// A swap_plan exception that was NOT a lowering rejection: stashed by
-  /// apply_swap_locked for the caller to convert into a kBackendSwap fault
-  /// once control_mu_ is released (the transition takes the lock itself).
-  std::optional<std::string> pending_swap_fault_;
   // Fault bookkeeping, guarded by control_mu_ (watchdog reads are per-tick,
   // so a shared mutex with the retune mailbox costs nothing measurable).
   FaultInfo last_fault_;

@@ -703,6 +703,7 @@ TEST_F(StreamEngineTest, RetuneWhileStoppedAppliesInlineAndStreamsAfterRestart) 
   engine.stop();
   const auto stats = session->stats();
   EXPECT_EQ(stats.retunes_applied, 1u);
+  EXPECT_EQ(stats.retunes_inline, 1u);
   const std::size_t boundary =
       std::min(static_cast<std::size_t>(stats.last_retune_block) * 2048, feed.size());
   auto backend = core::BackendRegistry::instance().create(backends::kNative);
@@ -734,6 +735,7 @@ TEST_F(StreamEngineTest, StatsJsonDescribesEverySession) {
   EXPECT_NE(json.find("\"blocks_pumped\""), std::string::npos);
   EXPECT_NE(json.find("\"msamples_per_s\""), std::string::npos);
   EXPECT_NE(json.find("\"last_retune_block\""), std::string::npos);
+  EXPECT_NE(json.find("\"retunes_inline\""), std::string::npos);
   EXPECT_NE(json.find("\"paused\""), std::string::npos);
   // Scheduler-era fields: per-session fairness plus engine-level task
   // counters.
